@@ -2,8 +2,9 @@
 
 Points are plain sequences or numpy arrays of three floats; point clouds
 are (N, 3) float64 arrays. All comparisons against a radius happen on
-squared distances, and degeneracy thresholds are relative to the local
-extent of the points involved, so behavior does not depend on units.
+squared distances. Degeneracy thresholds are relative to the local extent
+of the points involved, and containment bands are relative to the cloud
+scale, with no absolute floor, so scaling a cloud scales every band with it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class Tolerance(NamedTuple):
 
     ``scale`` is normally the bounding-box diagonal of the cloud being
     processed, computed once at ingestion. The absolute tolerance used in
-    containment checks is ``eps_rel * max(scale, 1)``.
+    containment checks is ``eps_rel * scale``.
     """
 
     eps_rel: float = 1e-9
@@ -41,7 +42,7 @@ class Tolerance(NamedTuple):
 
     @property
     def abs_eps(self) -> float:
-        return self.eps_rel * max(self.scale, 1.0)
+        return self.eps_rel * self.scale
 
 
 _DEFAULT_TOL = Tolerance()
@@ -123,32 +124,34 @@ def _circum3(pa, pb, pc, eps: float):
 def _circum4(pa, pb, pc, pd, eps: float):
     """Circumsphere core on bare float triples: (ox, oy, oz, r2).
 
-    Solves the 3x3 equidistance system by elimination with partial
-    pivoting. Coplanarity test kept in squared form to avoid square roots:
-    ``det^2 <= (eps * L^3)^2``.
+    With b, c, d taken relative to a, the centre offset is
+    ``(|b|^2 (c x d) + |c|^2 (d x b) + |d|^2 (b x c)) / (2 det)`` where
+    ``det = b . (c x d)``. Coplanarity test kept in squared form to avoid
+    square roots: ``det^2 <= (eps * L^3)^2`` with L the largest pairwise
+    distance of the quadruple.
     """
-    pts = (pa, pb, pc, pd)
-    # rows of the system: (p_i - a) . x = |p_i - a|^2 / 2, center = a + x
-    m = []
-    rhs = []
-    for i in (1, 2, 3):
-        rx = pts[i][0] - pa[0]
-        ry = pts[i][1] - pa[1]
-        rz = pts[i][2] - pa[2]
-        m.append([rx, ry, rz])
-        rhs.append(0.5 * (rx * rx + ry * ry + rz * rz))
-    l2 = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            dx = pts[i][0] - pts[j][0]
-            dy = pts[i][1] - pts[j][1]
-            dz = pts[i][2] - pts[j][2]
-            l2 = max(l2, dx * dx + dy * dy + dz * dz)
-    det2 = _eliminate3(m, rhs)
-    if det2 <= (eps * eps) * l2 ** 3:
+    ax, ay, az = pa
+    bx, by, bz = pb[0] - ax, pb[1] - ay, pb[2] - az
+    cx, cy, cz = pc[0] - ax, pc[1] - ay, pc[2] - az
+    dx, dy, dz = pd[0] - ax, pd[1] - ay, pd[2] - az
+    b2 = bx * bx + by * by + bz * bz
+    c2 = cx * cx + cy * cy + cz * cz
+    d2 = dx * dx + dy * dy + dz * dz
+    ex, ey, ez = cx - bx, cy - by, cz - bz
+    fx, fy, fz = dx - bx, dy - by, dz - bz
+    gx, gy, gz = dx - cx, dy - cy, dz - cz
+    l2 = max(b2, c2, d2, ex * ex + ey * ey + ez * ez, fx * fx + fy * fy + fz * fz, gx * gx + gy * gy + gz * gz)
+    cdx, cdy, cdz = cy * dz - cz * dy, cz * dx - cx * dz, cx * dy - cy * dx
+    dbx, dby, dbz = dy * bz - dz * by, dz * bx - dx * bz, dx * by - dy * bx
+    bcx, bcy, bcz = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
+    det = bx * cdx + by * cdy + bz * cdz
+    if det * det <= (eps * eps) * l2 ** 3:
         raise DegenerateCoplanar("four points are coplanar within tolerance")
-    x, y, z = rhs
-    return pa[0] + x, pa[1] + y, pa[2] + z, x * x + y * y + z * z
+    f = 0.5 / det
+    x = (b2 * cdx + c2 * dbx + d2 * bcx) * f
+    y = (b2 * cdy + c2 * dby + d2 * bcy) * f
+    z = (b2 * cdz + c2 * dbz + d2 * bcz) * f
+    return ax + x, ay + y, az + z, x * x + y * y + z * z
 
 
 def sphere_from_three(a, b, c, tol: Tolerance | None = None) -> Sphere:
@@ -175,45 +178,13 @@ def sphere_from_four(a, b, c, d, tol: Tolerance | None = None) -> Sphere:
     return Sphere(np.array((ox, oy, oz)), math.sqrt(r2))
 
 
-def _eliminate3(m, rhs) -> float:
-    """In-place 3x3 Gaussian elimination with partial pivoting.
-
-    On return ``rhs`` holds the solution. Returns the squared determinant
-    magnitude (0.0 when a pivot vanishes).
-    """
-    idx = [0, 1, 2]
-    det = 1.0
-    for col in range(3):
-        piv = max(range(col, 3), key=lambda r: abs(m[idx[r]][col]))
-        if piv != col:
-            idx[col], idx[piv] = idx[piv], idx[col]
-        p = m[idx[col]][col]
-        if p == 0.0:
-            return 0.0
-        det *= p
-        for r in range(col + 1, 3):
-            f = m[idx[r]][col] / p
-            if f != 0.0:
-                for cc in range(col, 3):
-                    m[idx[r]][cc] -= f * m[idx[col]][cc]
-                rhs[idx[r]] -= f * rhs[idx[col]]
-    # back substitution
-    sol = [0.0, 0.0, 0.0]
-    for col in (2, 1, 0):
-        s = rhs[idx[col]]
-        for cc in range(col + 1, 3):
-            s -= m[idx[col]][cc] * sol[cc]
-        sol[col] = s / m[idx[col]][col]
-    rhs[0], rhs[1], rhs[2] = sol
-    return det * det
-
-
 def contains(sphere: Sphere, p, tol: Tolerance | None = None) -> bool:
     """True iff ``|p - center| <= radius + effective tolerance``.
 
     The comparison runs on squared distances to avoid a square root.
+    Without ``tol`` the band is 1e-9 of the sphere's diameter.
     """
-    t = _DEFAULT_TOL if tol is None else tol
+    t = Tolerance(scale=2.0 * float(sphere.radius)) if tol is None else tol
     px, py, pz = _p3(p)
     cx, cy, cz = float(sphere.center[0]), float(sphere.center[1]), float(sphere.center[2])
     dx, dy, dz = px - cx, py - cy, pz - cz

@@ -70,7 +70,7 @@ def brute_force_ses(points, tol: Tolerance | None = None) -> Sphere:
     C = np.concatenate(centers, axis=0)
     R2 = np.concatenate(radii2, axis=0)
 
-    abs2 = (1e-14 * max(tol.scale, 1.0)) ** 2
+    abs2 = (1e-14 * tol.scale) ** 2
     band = 1.0 + 1e-12
 
     def outside(ci):
@@ -300,7 +300,7 @@ def enclosing_circle_2d(points2d) -> tuple[np.ndarray, float]:
     C2 = np.concatenate(centers, axis=0)
     R2 = np.concatenate(radii2, axis=0)
     d2max = ((H[None, :, :] - C2[:, None, :]) ** 2).sum(axis=2).max(axis=1)
-    ok = d2max <= R2 * (1.0 + 1e-12) + (1e-14 * max(scale, 1.0)) ** 2
+    ok = d2max <= R2 * (1.0 + 1e-12) + (1e-14 * scale) ** 2
     cand_r2 = R2[ok]
     cand_c = C2[ok]
     k = int(np.argmin(cand_r2))
@@ -308,6 +308,6 @@ def enclosing_circle_2d(points2d) -> tuple[np.ndarray, float]:
     r = float(np.sqrt(cand_r2[k]))
     center = cand_c[k]
     worst = float(np.sqrt(((Q - center[None, :]) ** 2).sum(axis=1).max()))
-    if worst > r + 1e-9 * max(scale, 1.0):
+    if worst > r + 1e-9 * scale:
         raise RuntimeError("2D oracle result fails its enclosure check")
     return center.copy(), r

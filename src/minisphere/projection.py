@@ -9,6 +9,12 @@ covering argument asks (Agarwal, Har-Peled & Varadarajan, 2004). Extremes
 of a linear functional are convex-hull vertices, so the union of the picks
 is a small certificate set. Its enclosing sphere is then verified against
 the full cloud and repaired with any escapees until enclosure holds.
+
+All 4K extremes come from one fused kernel: the (4K, 3) direction matrix
+times a column chunk of the cloud, into one reused buffer of about 1 MB,
+then ``argmax`` along each row. Exact ties, rare outside lattice-like
+input, go to one lexicographic rule for every direction, so every pick is
+a hull vertex.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ _CANONICAL6 = np.array(
         (_SQ2, 0.0, _SQ2),
     ]
 )
-_FRAME_BLOCK = 8
+_BLOCK_ELEMS = 2 ** 17  # doubles per reduce block: ~1 MB, which keeps BLAS threading cheap
 _MAX_REPAIR = 16
 _VERIFY_CHUNK = 262144
 
@@ -206,7 +212,10 @@ def _pick(primary: np.ndarray, secondary: np.ndarray, minimize: bool) -> int:
 
 
 def extreme4(points, frame: ProjectionFrame) -> tuple[int, int, int, int]:
-    """Indices extreme along (+u, -u, +v, -v) in one O(N) pass per axis."""
+    """Indices extreme along (+u, -u, +v, -v) in one O(N) pass per axis.
+
+    Ties follow ``_pick``; ``reduce`` breaks them lexicographically instead.
+    """
     P = as_cloud(points)
     a = P @ frame.u
     b = P @ frame.v
@@ -226,42 +235,71 @@ def _fibonacci_directions(m: int) -> np.ndarray:
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
-def _directions(k: int):
-    """The 4k reduce directions and a map from direction index to the axes
-    that break exact ties along it, in order (see ``reduce``)."""
+def _directions(k: int) -> np.ndarray:
+    """The 4k reduce directions as a (4k, 3) array of unit rows."""
     if k == 6:
-        D, E = [], []
-        for f in generate_orientations(6):
-            D += [f.u, -f.u, f.v, -f.v]
-            E += [(f.v,), (f.v,), (f.u,), (f.u,)]
-        return np.array(D), lambda j: E[j]
-    D = _fibonacci_directions(4 * k)
-
-    def tiebreak(j):
-        frame = make_frame(D[j])
-        return frame.u, frame.v
-
-    return D, tiebreak
+        return np.array([a for f in generate_orientations(6) for a in (f.u, -f.u, f.v, -f.v)])
+    return _fibonacci_directions(4 * k)
 
 
-def _extremes(P: np.ndarray, D: np.ndarray, tiebreak) -> np.ndarray:
-    """Row of P extreme along each row of D, in blocks of _FRAME_BLOCK
-    directions; the tie-break slow path runs only on exact ties."""
-    n = len(P)
-    out = np.empty(len(D), dtype=np.intp)
-    buf = np.empty((n, _FRAME_BLOCK))  # reused: a fresh (N, 8) block per matmul costs page faults
-    for lo in range(0, len(D), _FRAME_BLOCK):
-        Dt = D[lo:lo + _FRAME_BLOCK].T
-        A = np.matmul(P, Dt, out=buf[:, :Dt.shape[1]])
-        first = np.argmax(A, axis=0)
-        last = n - 1 - np.argmax(A[::-1], axis=0)
-        out[lo:lo + A.shape[1]] = first
-        for c in np.flatnonzero(first != last):
-            ties = np.flatnonzero(A[:, c] == A[first[c], c])
-            for e in tiebreak(lo + c):
-                s = P[ties] @ e
-                ties = ties[s == s.max()]
-            out[lo + c] = ties[0]
+def _lex_max(P: np.ndarray, d: np.ndarray) -> int:
+    """Row of P that is the lexicographic maximum along the orthonormal
+    triple (d, e1, e2) of ``make_frame(d)``; then the lowest index."""
+    frame = make_frame(d)
+    s = P @ d
+    ties = np.flatnonzero(s == s.max())
+    for e in (frame.u, frame.v):
+        if len(ties) == 1:
+            break
+        s = P[ties] @ e
+        ties = ties[s == s.max()]
+    return int(ties[0])
+
+
+def _extremes(P: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Row of P extreme along each row of D.
+
+    One pass over P in column chunks: ``D @ chunk.T`` lands in a reused
+    (m, c) buffer of about 1 MB and ``argmax`` runs along its rows. Only a
+    strictly larger value replaces a direction's running best, and an equal
+    value in a later chunk flags the direction as tied. A tie inside the
+    chunk that holds a direction's best is looked for once, at the end: that
+    chunk's row is recomputed into the same buffer, its maximum knocked out,
+    and the row's new maximum compared with the old. Only flagged directions
+    take the lexicographic slow path (``_lex_max``).
+    """
+    n, m = len(P), len(D)
+    c = min(n, max(1, _BLOCK_ELEMS // m))
+    buf = np.empty(m * c)  # reused: a fresh block per matmul costs page faults
+    rows = np.arange(m)
+    best = np.full(m, -np.inf)
+    out = np.zeros(m, dtype=np.intp)
+    win = np.zeros(m, dtype=np.intp)  # start of the chunk holding each best
+    tied = np.zeros(m, dtype=bool)
+    for lo in range(0, n, c):
+        Q = P[lo:lo + c]
+        S = np.matmul(D, Q.T, out=buf[:m * len(Q)].reshape(m, len(Q)))
+        j = S.argmax(axis=1)
+        v = S[rows, j]
+        tied |= v == best
+        up = np.flatnonzero(v > best)
+        if up.size:
+            best[up] = v[up]
+            out[up] = j[up] + lo
+            win[up] = lo
+            tied[up] = False
+    for lo in np.unique(win):
+        rs = np.flatnonzero((win == lo) & ~tied)
+        if rs.size:
+            Q = P[lo:lo + c]
+            S = np.matmul(D[rs], Q.T, out=buf[:rs.size * len(Q)].reshape(rs.size, len(Q)))
+            i = np.arange(rs.size)
+            j = S.argmax(axis=1)
+            top = S[i, j]
+            S[i, j] = -np.inf
+            tied[rs] = S.max(axis=1) == top
+    for r in np.flatnonzero(tied):
+        out[r] = _lex_max(P, D[r])
     return out
 
 
@@ -277,17 +315,17 @@ def reduce(points, sel) -> ReducedSet:
     """Union of the extremes along 4k directions: the reduced set P_s.
 
     ``sel`` is a KSelection or a bare plane count. k = 6 takes the +-u and
-    +-v axes of the canonical frames, with ``extreme4``'s tie rule. Any
-    other k takes the 4k-point spherical Fibonacci set; an exact tie along
-    direction d goes to the lexicographic maximum along the orthonormal
-    triple (d, e1, e2) of ``make_frame(d)``, then to the lowest index, which
-    only identical points can reach, so every pick is a convex-hull vertex.
+    +-v axes of the canonical frames; any other k takes the 4k-point
+    spherical Fibonacci set. An exact tie along direction d goes to the
+    lexicographic maximum along the orthonormal triple (d, e1, e2) of
+    ``make_frame(d)``, then to the lowest index, which only identical points
+    can reach, so every pick is a convex-hull vertex.
     Output order is stable (first-seen) so downstream solves are
     deterministic. |indices| is at most min(N, 4k).
     """
     P = as_cloud(points)
     k = _plane_count(sel)
-    picks = _extremes(P, *_directions(k)).tolist()
+    picks = _extremes(P, _directions(k)).tolist()
     per_plane = [tuple(picks[i:i + 4]) for i in range(0, len(picks), 4)]
     indices = np.fromiter(dict.fromkeys(picks), dtype=np.intp)
     return ReducedSet(indices, per_plane)
@@ -343,7 +381,7 @@ def solve(points, sel=None, seed: int = 0, tol: Tolerance | None = None) -> Solv
     points : (N, 3) array-like, N >= 1.
     sel : KSelection, bare plane count, "auto", or None (auto). Auto picks
         select_k(N) in general mode.
-    seed : shuffle seed handed to the incremental solver.
+    seed : handed to ``welzl_solve``, whose fallback shuffle it seeds.
     tol : optional Tolerance for degeneracy predicates.
 
     Returns
@@ -368,7 +406,7 @@ def solve(points, sel=None, seed: int = 0, tol: Tolerance | None = None) -> Solv
     rset = reduce(P, ksel)
     reduce_s = time.perf_counter() - t0  # ingestion counts toward the reduce stage
 
-    band = 1e-12 * max(tol.scale, 1.0)
+    band = 1e-12 * tol.scale
     mask = np.zeros(n, dtype=bool)
     mask[rset.indices] = True
     subset = rset.indices.copy()
@@ -396,7 +434,9 @@ def solve(points, sel=None, seed: int = 0, tol: Tolerance | None = None) -> Solv
             break
         repair_rounds += 1
         mask[viol] = True
-        subset = np.concatenate([subset, viol])
+        # the last support leads, so the next small solve starts from the last sphere
+        lead = list(sup.indices)
+        subset = np.concatenate([subset[lead], viol, np.delete(subset, lead)])
         verify_s += time.perf_counter() - t2
 
     return SolveReport(

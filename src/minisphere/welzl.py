@@ -1,11 +1,14 @@
-"""Randomized incremental smallest-enclosing-sphere solver.
+"""Exact smallest-enclosing-sphere solver.
 
-Welzl's algorithm (1991), written without open-ended recursion: each call
-level pins one more boundary point, so nesting is capped at four levels and
-an input of a million points walks flat loops instead of a million stack
-frames. Near-co-spherical inputs drive the ball constructors hard, so all
-candidate-sphere math runs on bare floats; violation scans go point by
-point for small clouds and vectorized in chunks for large ones.
+Gaertner's pivoting ("Fast and Robust Smallest Enclosing Balls", 1999) on
+Welzl's recursion (1991): the point farthest outside the current ball is
+found with one vectorized scan, and the ball of the current support plus
+that point, with the point pinned, replaces it. Pinned sets hold at most
+four points, so no recursion is open-ended. If rounding stalls the
+pivoting, a move-to-front Welzl scan over a shuffled copy finishes the
+solve; it also serves ``min_sphere_with_boundary``. Near-co-spherical
+inputs drive the ball constructors hard, so all candidate-sphere math runs
+on bare floats.
 """
 
 from __future__ import annotations
@@ -40,29 +43,47 @@ class _Ball(NamedTuple):
 
 
 class _Ctx:
-    """Shuffled coordinates plus tolerance bands for one solve."""
+    """Coordinates in solve order, their input rows and tolerance bands.
 
-    __slots__ = ("xs", "ys", "zs", "ax", "ay", "az", "n", "eps", "abs2")
+    The move-to-front rule reorders this storage in place: flat lists up
+    to _SMALL points, one contiguous array per coordinate above that.
+    """
 
-    def __init__(self, pts: np.ndarray, tol: Tolerance):
-        self.n = len(pts)
+    __slots__ = ("xs", "ys", "zs", "ids", "small", "n", "eps", "abs2")
+
+    def __init__(self, xs, ys, zs, ids, tol: Tolerance):
+        self.xs, self.ys, self.zs, self.ids = xs, ys, zs, ids
+        self.small = isinstance(ids, list)
+        self.n = len(ids)
         self.eps = tol.eps_rel
-        self.abs2 = (1e-14 * max(tol.scale, 1.0)) ** 2
-        if self.n <= _SMALL:
-            self.xs = pts[:, 0].tolist()
-            self.ys = pts[:, 1].tolist()
-            self.zs = pts[:, 2].tolist()
-            self.ax = self.ay = self.az = None
-        else:
-            self.ax = np.ascontiguousarray(pts[:, 0])
-            self.ay = np.ascontiguousarray(pts[:, 1])
-            self.az = np.ascontiguousarray(pts[:, 2])
-            self.xs = self.ys = self.zs = None
+        self.abs2 = (1e-14 * tol.scale) ** 2
+
+    @classmethod
+    def of(cls, P: np.ndarray, order: np.ndarray, tol: Tolerance) -> "_Ctx":
+        """Rows ``order`` of P, as lists up to _SMALL points and arrays above."""
+        cols = (P[order, 0], P[order, 1], P[order, 2])
+        if len(order) <= _SMALL:
+            return cls(*(c.tolist() for c in cols), order.tolist(), tol)
+        return cls(*cols, order, tol)
 
     def entry(self, row: int):
-        if self.xs is not None:
-            return ((self.xs[row], self.ys[row], self.zs[row]), row)
-        return ((float(self.ax[row]), float(self.ay[row]), float(self.az[row])), row)
+        if self.small:
+            return ((self.xs[row], self.ys[row], self.zs[row]), self.ids[row])
+        return ((float(self.xs[row]), float(self.ys[row]), float(self.zs[row])), int(self.ids[row]))
+
+    def to_front(self, row: int) -> None:
+        """Move position ``row`` to position 0, shifting [0, row) up by one."""
+        if row == 0:
+            return
+        seqs = (self.xs, self.ys, self.zs, self.ids)
+        if self.small:
+            for seq in seqs:
+                seq.insert(0, seq.pop(row))
+            return
+        for seq in seqs:
+            head = seq[row]
+            seq[1:row + 1] = seq[:row]
+            seq[0] = head
 
 
 def welzl_solve(points, seed: int = 0, tol: Tolerance | None = None) -> tuple[Sphere, SupportSet]:
@@ -71,22 +92,27 @@ def welzl_solve(points, seed: int = 0, tol: Tolerance | None = None) -> tuple[Sp
     Parameters
     ----------
     points : (N, 3) array-like, N >= 1.
-    seed : int, seeds the single shuffle that gives expected linear time.
+    seed : int, seeds the shuffle of the move-to-front fallback, which
+        runs only if rounding stalls the pivoting.
     tol : optional Tolerance; defaults to one scaled to the cloud.
 
     Returns
     -------
     (Sphere, SupportSet) where the support holds 1 to 4 input indices
     (sorted, deduplicated) of points on the sphere boundary.
+
+    The pivoting starts from the min ball of the first (up to four) rows,
+    so a caller that knows a near-final support can warm-start the solve
+    by passing those rows first.
     """
     P = as_cloud(points)
     if tol is None:
         tol = tolerance_for(P)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(P))
-    ctx = _Ctx(P[order], tol)
-    ball = _min_ball(ctx, len(P), ())
-    rows = sorted({int(order[i]) for (_, i) in ball.support})
+    ball = _pivot_ball(P, tol)
+    if ball is None:
+        order = np.random.default_rng(seed).permutation(len(P))
+        ball = _min_ball(_Ctx.of(P, order, tol), len(P), ())
+    rows = sorted({i for (_, i) in ball.support})
     support = SupportSet(tuple(rows), P[rows].copy())
     sphere = Sphere(np.array(ball.c, dtype=np.float64), math.sqrt(max(ball.r2, 0.0)))
     return sphere, support
@@ -113,12 +139,56 @@ def min_sphere_with_boundary(points, boundary, tol: Tolerance | None = None) -> 
     elif len(P) == 0:
         ball = _boundary_ball(ext, tol.eps_rel)
     else:
-        ball = _min_ball(_Ctx(P, tol), len(P), ext)
+        ball = _min_ball(_Ctx.of(P, np.arange(len(P)), tol), len(P), ext)
     return Sphere(np.array(ball.c, dtype=np.float64), math.sqrt(max(ball.r2, 0.0)))
 
 
+def _pivot_ball(P: np.ndarray, tol: Tolerance) -> _Ball | None:
+    """Min ball of the rows of P by Gaertner's pivoting.
+
+    Each pivot lies outside the current ball: first rows 1 to 3 in turn,
+    then always the row farthest outside. The min ball of the current
+    support plus the pivot, with the pivot pinned, replaces the ball, so
+    the radius grows every round and the loop ends. Returns None if
+    rounding stalls the growth.
+    """
+    eps, abs2 = tol.eps_rel, (1e-14 * tol.scale) ** 2
+    ball = _ball1(_row(P, 0))
+    for i in range(1, min(len(P), 4)):
+        e = _row(P, i)
+        if _outside(ball, e, abs2):
+            ball = _pinned_ball(ball.support, (e,), eps, abs2)
+    while True:
+        j = _farthest_outside(P, ball, abs2)
+        if j < 0:
+            return ball
+        grown = _pinned_ball(ball.support, (_row(P, j),), eps, abs2)
+        if not grown.r2 > ball.r2:
+            return None
+        ball = grown
+
+
+def _pinned_ball(entries: tuple, boundary: tuple, eps: float, abs2: float) -> _Ball:
+    """Min ball of at most four ``entries`` with ``boundary`` pinned.
+
+    Plain Welzl: at this size the move-to-front bookkeeping costs more
+    than the rescans it saves.
+    """
+    ball = _boundary_ball(boundary, eps)
+    for k, e in enumerate(entries):
+        if _outside(ball, e, abs2):
+            pinned = boundary + (e,)
+            ball = _ball4(pinned, eps) if len(pinned) == 4 else _pinned_ball(entries[:k], pinned, eps, abs2)
+    return ball
+
+
 def _min_ball(ctx: _Ctx, m: int, boundary: tuple) -> _Ball:
-    """Min ball of rows [0, m) with ``boundary`` pinned on the sphere."""
+    """Min ball of positions [0, m) with ``boundary`` pinned on the sphere.
+
+    Move-to-front (Gaertner 1999): a point found outside is solved against
+    the prefix before it, then moved to the front, where later rescans of
+    the prefix meet it first. The scan continues after its old position.
+    """
     if boundary:
         ball = _boundary_ball(boundary, ctx.eps)
         start = 0
@@ -137,6 +207,7 @@ def _min_ball(ctx: _Ctx, m: int, boundary: tuple) -> _Ball:
             ball = _ball4(boundary + (e,), ctx.eps)
         else:
             ball = _min_ball(ctx, j, boundary + (e,))
+        ctx.to_front(j)
         start = j + 1
 
 
@@ -145,8 +216,8 @@ def _first_outside(ctx: _Ctx, ball: _Ball, start: int, stop: int) -> int:
         return -1
     cx, cy, cz = ball.c
     thr = ball.r2 * _REL_BAND + ctx.abs2
-    if ctx.ax is None:
-        xs, ys, zs = ctx.xs, ctx.ys, ctx.zs
+    xs, ys, zs = ctx.xs, ctx.ys, ctx.zs
+    if ctx.small:
         for i in range(start, stop):
             dx = xs[i] - cx
             dy = ys[i] - cy
@@ -156,13 +227,38 @@ def _first_outside(ctx: _Ctx, ball: _Ball, start: int, stop: int) -> int:
         return -1
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
-        d2 = np.square(ctx.ax[lo:hi] - cx)
-        d2 += np.square(ctx.ay[lo:hi] - cy)
-        d2 += np.square(ctx.az[lo:hi] - cz)
+        d2 = np.square(xs[lo:hi] - cx)
+        d2 += np.square(ys[lo:hi] - cy)
+        d2 += np.square(zs[lo:hi] - cz)
         bad = d2 > thr
         if bad.any():
             return lo + int(bad.argmax())
     return -1
+
+
+def _farthest_outside(P: np.ndarray, ball: _Ball, abs2: float) -> int:
+    """Row of P farthest from the ball's centre if it lies outside, else -1."""
+    c = np.array(ball.c)
+    far = ball.r2 * _REL_BAND + abs2
+    j = -1
+    for lo in range(0, len(P), _CHUNK):
+        d = P[lo:lo + _CHUNK] - c
+        d2 = np.einsum("ij,ij->i", d, d)
+        i = int(d2.argmax())
+        if d2[i] > far:
+            far, j = float(d2[i]), lo + i
+    return j
+
+
+def _outside(ball: _Ball, e, abs2: float) -> bool:
+    (x, y, z), _ = e
+    cx, cy, cz = ball.c
+    dx, dy, dz = x - cx, y - cy, z - cz
+    return dx * dx + dy * dy + dz * dz > ball.r2 * _REL_BAND + abs2
+
+
+def _row(P: np.ndarray, i: int):
+    return (tuple(P[i].tolist()), i)
 
 
 def _ball1(e) -> _Ball:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minisphere.datagen import generate
+from minisphere import projection
+from minisphere.datagen import generate, kinds
 from minisphere.errors import InvalidKError, InvalidParamsError, ZeroNormalError
 from minisphere.oracle import is_hull_vertex
 from minisphere.projection import (
@@ -154,39 +155,110 @@ def test_extreme4_tie_rules():
 def test_reduce_cube_plus_center_frozen():
     """Pinned selection for the canonical six planes on the axis-aligned cube.
 
-    Exact projection ties on this input make the picks follow the tie rules,
-    not the corner count: seven of the eight corners appear, the center never
-    does. Derived by hand-tracing the picks and pinned here against drift.
+    Every direction is maximised by a whole face or edge, so the picks follow
+    the lexicographic tie rule along make_frame(d), not the corner count.
+    Frame 0 (normal z) traced by hand: +x ties on x = 1, then the frame of x
+    orders by y and then z, giving corner 7; -x orders by y then -z (corner
+    2); +y by x then -z (corner 6); -y by x then z (corner 5). Six corners
+    appear; the center never does, and corners 0 and 1 lose every tie.
     """
     P = np.vstack([cube_corners(), [[0.5, 0.5, 0.5]]])
     red = reduce(P, KSelection("symmetric-6", 6))
-    assert red.indices.tolist() == [6, 2, 4, 0, 5, 3, 1]
+    assert red.indices.tolist() == [7, 2, 6, 5, 4, 3]
     assert [tuple(q) for q in red.per_plane] == [
-        (6, 2, 6, 4),
-        (4, 0, 4, 5),
-        (3, 1, 3, 2),
-        (5, 4, 5, 3),
-        (6, 2, 6, 5),
-        (3, 1, 3, 6),
+        (7, 2, 6, 5),
+        (7, 2, 4, 7),
+        (6, 5, 7, 4),
+        (7, 4, 5, 3),
+        (7, 2, 6, 5),
+        (6, 5, 3, 6),
     ]
     assert 8 not in red.indices  # the interior point
-    assert 7 not in red.indices  # loses every exact tie to lower corners
 
 
 def test_reduce_exact_ties_pick_hull_vertices():
-    """Fibonacci direction 0 has y = 0 exactly, so on an axis-aligned cube it
-    is maximised by a whole edge. The lexicographic tie rule must still pick
-    a corner. Edge midpoints and face centres come first, so a bare
-    lowest-index rule would pick a midpoint."""
+    """Fibonacci direction 0 has y = 0 exactly, and every canonical k = 6
+    axis is a coordinate axis or a face diagonal, so on an axis-aligned cube
+    they are maximised by a whole edge or face. The lexicographic tie rule
+    must still pick a corner. Edge midpoints and face centres come first, so
+    a bare lowest-index rule would pick a midpoint."""
     corners = cube_corners()
     mids = [(a + b) / 2.0 for a, b in itertools.combinations(corners, 2) if np.abs(a - b).sum() == 1.0]
     faces = [np.where(np.arange(3) == ax, side, 0.5) for ax in range(3) for side in (0.0, 1.0)]
     P = np.vstack([mids, faces, corners])
     assert len(P) == 26
-    for k in (1, 2, 13, 24):
-        red = reduce(P, KSelection("general", k))
+    sels = [KSelection("general", k) for k in (1, 2, 6, 13, 24)] + [KSelection("symmetric-6", 6)]
+    for sel in sels:
+        red = reduce(P, sel)
         bad = [i for i in red.indices.tolist() if not is_hull_vertex(i, P)]
-        assert bad == [], (k, bad)
+        assert bad == [], (sel, bad)
+
+
+def _reference_directions(k):
+    """The reduce directions rebuilt from their definitions: the +-u, +-v
+    axes of the canonical frames for k = 6, else the 4k-point spherical
+    Fibonacci set (Keinert et al. 2015)."""
+    if k == 6:
+        return np.array([a for f in generate_orientations(6) for a in (f.u, -f.u, f.v, -f.v)])
+    m = 4 * k
+    i = np.arange(m)
+    z = 1.0 - (2.0 * i + 1.0) / m
+    phi = 2.0 * np.pi * np.mod(i / ((1.0 + math.sqrt(5.0)) / 2.0), 1.0)
+    rho = np.sqrt(1.0 - z * z)
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+
+
+def _reference_picks(P, k):
+    """Brute force: a full-column argmax per direction, then the
+    lexicographic rule along (d, e1, e2) of make_frame(d), then the lowest index."""
+    picks = []
+    for d in _reference_directions(k):
+        ties = np.arange(len(P))
+        f = make_frame(d)
+        for e in (d, f.u, f.v):
+            s = P[ties] @ e
+            ties = ties[s == s.max()]
+        picks.append(int(ties[0]))
+    return picks
+
+
+def _fused_picks(P, k):
+    return [i for quad in reduce(P, KSelection("general", k)).per_plane for i in quad]
+
+
+def _chunk(k):
+    return projection._BLOCK_ELEMS // (4 * k)
+
+
+@pytest.mark.parametrize("k", [1, 6, 24, 64])
+def test_fused_reduce_matches_brute_force_on_random_clouds(k):
+    rng = np.random.default_rng(k)
+    c = _chunk(k)
+    # below one chunk, exactly one chunk, and a ragged last chunk
+    for n in (7, c, 2 * c + 37):
+        P = rng.normal(size=(n, 3))
+        assert _fused_picks(P, k) == _reference_picks(P, k), (k, n)
+
+
+@pytest.mark.parametrize("k", [1, 6, 24, 64])
+def test_fused_reduce_matches_brute_force_on_exact_ties(k):
+    """A small integer grid ties along many directions, inside chunks and
+    from chunk to chunk. Then clouds with no other ties get a pair of rows
+    tied alone along direction 0 (+x for k = 6; otherwise the Fibonacci
+    direction whose y component is 0), once inside chunk 0 and once across
+    the boundary between chunks 0 and 1; the lexicographic rule picks the
+    later row of the pair."""
+    rng = np.random.default_rng(100 + k)
+    c = _chunk(k)
+    grid = rng.integers(0, 4, size=(2 * c + 11, 3)).astype(np.float64)
+    assert _fused_picks(grid, k) == _reference_picks(grid, k)
+    for a, b in ((3, 5), (c - 1, c)):
+        P = rng.normal(size=(2 * c + 11, 3))
+        P[a] = (9.0, 0.0, 9.0)
+        P[b] = (9.0, 1.0, 9.0)
+        picks = _fused_picks(P, k)
+        assert picks == _reference_picks(P, k), (a, b)
+        assert picks[0] == b, (a, b)
 
 
 def test_reduce_indices_unique_and_budgeted():
@@ -246,7 +318,7 @@ class TestSolve:
         assert np.allclose(rep.sphere.center, [0.5, 0.5, 0.5], atol=1e-12)
         assert rep.strategy == "projection"
         assert rep.input_count == 9
-        assert rep.reduced_size == 7
+        assert rep.reduced_size == 6
         assert 8 not in rep.support_indices
 
     def test_report_shape(self):
@@ -308,3 +380,18 @@ class TestSolve:
             P = np.vstack([P, P.mean(axis=0)[None, :]])  # strictly interior
             red = reduce(P, KSelection("general", 24))
             assert 40 not in red.indices
+
+
+@pytest.mark.parametrize("scale", [10.0 ** e for e in range(-12, 13)] + ["offset"],
+                         ids=[f"1e{e}" for e in range(-12, 13)] + ["offset-1e6"])
+def test_solve_is_scale_invariant(scale):
+    """Every band is relative to the cloud scale, so every decade from 1e-12
+    to 1e12, and a unit cloud moved by 1e6, solves like the unit cloud."""
+    for i, kind in enumerate(kinds()):
+        P = generate(kind, 1000, seed=i)
+        P = P + 1e6 if scale == "offset" else P * scale
+        rep = solve(P, seed=i)
+        ref, _ = welzl_solve(P, seed=i)
+        r = rep.sphere.radius
+        assert rel_err(r, ref.radius) <= 1e-9, kind
+        assert max_violation(P, rep.sphere.center, r) <= 1e-9 * r, kind

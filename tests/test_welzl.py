@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from minisphere import projection, welzl
 from minisphere.datagen import generate, kinds
 from minisphere.errors import InvalidGeometryError
 from minisphere.geom import Tolerance, tolerance_for
@@ -142,3 +143,89 @@ def test_scale_invariance():
     c, _ = welzl_solve(P * 1e-6)
     assert rel_err(b.radius, a.radius * 1e6) < 1e-9
     assert rel_err(c.radius, a.radius * 1e-6) < 1e-9
+
+
+# radius of each input below as the plain restart-from-0 scan (before
+# pivoting and move-to-front) returned it, seed 3
+_OLD_RADII = {
+    ("co-spherical", 60): 0.9999999999999998,
+    ("coplanar-disk", 60): 0.9732444367086378,
+    ("collinear", 60): 0.48598500613639223,
+    ("duplicates", 60): 0.9230054334138992,
+    ("co-spherical", 5000): 1.0,
+    ("coplanar-disk", 5000): 0.9997577465782809,
+    ("collinear", 5000): 0.4998983668730538,
+    ("duplicates", 5000): 0.99914221676049,
+}
+
+
+def _family(kind, n):
+    if kind == "duplicates":
+        return np.repeat(generate("uniform-ball", n // 4, seed=3), 4, axis=0)
+    return generate(kind, n, seed=3)
+
+
+def _move_to_front(P, seed):
+    """Move-to-front Welzl on a shuffled copy of P, and the context it reordered."""
+    ctx = welzl._Ctx.of(P, np.random.default_rng(seed).permutation(len(P)), tolerance_for(P))
+    return welzl._min_ball(ctx, len(P), ()), ctx
+
+
+@pytest.mark.parametrize("n", [60, 5000])  # list storage, then array storage
+@pytest.mark.parametrize("kind", ["co-spherical", "coplanar-disk", "collinear", "duplicates"])
+def test_pivoting_and_move_to_front_agree(kind, n):
+    P = _family(kind, n)
+    got, support = welzl_solve(P, seed=3)
+    ball, ctx = _move_to_front(P, 3)
+    assert ctx.small == (n <= welzl._SMALL)
+    assert rel_err(got.radius, _OLD_RADII[kind, n]) < 1e-12
+    assert rel_err(math.sqrt(ball.r2), got.radius) < 1e-12
+    assert max_violation(P, got.center, got.radius) <= 1e-12
+    if n <= 80:
+        assert rel_err(got.radius, brute_force_ses(P).radius) < 1e-9
+    # the in-place reordering moved rows and kept each with its coordinates
+    ids = np.asarray(ctx.ids)
+    assert sorted(ids.tolist()) == list(range(n))
+    assert not np.array_equal(ids, np.random.default_rng(3).permutation(n))
+    assert np.array_equal(np.column_stack([ctx.xs, ctx.ys, ctx.zs]), P[ids])
+
+
+@pytest.mark.parametrize("lists", [True, False])
+def test_flat4_fallback_in_move_to_front(monkeypatch, lists):
+    """Three pinned corners of a right triangle and a free point in their
+    plane, outside their circle: no sphere passes through all four, so
+    _ball4 falls back to _flat4, whose smallest enclosing candidate is the
+    ball on the segment from the origin to the free point. Both storages."""
+    calls = []
+    real = welzl._flat4
+    monkeypatch.setattr(welzl, "_flat4", lambda *a: calls.append(1) or real(*a))
+    cols, ids = ([0.2, 3.0], [0.2, 3.0], [0.0, 0.0]), [0, 1]
+    if not lists:
+        cols, ids = tuple(np.array(c) for c in cols), np.array(ids)
+    ctx = welzl._Ctx(*cols, ids, Tolerance(1e-9, 5.0))
+    boundary = tuple(((x, y, 0.0), -1 - i) for i, (x, y) in enumerate([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
+    ball = welzl._min_ball(ctx, 2, boundary)
+    assert calls
+    assert ctx.small == lists
+    assert rel_err(math.sqrt(ball.r2), 1.5 * math.sqrt(2.0)) < 1e-15
+    assert np.allclose(ball.c, (1.5, 1.5, 0.0), rtol=0, atol=1e-15)
+    assert np.asarray(ctx.ids).tolist() == [1, 0]  # the free point moved to the front
+
+
+def test_noisy_shell_repaired_subset(monkeypatch):
+    """The subset a noisy shell's repair round hands the small solver."""
+    rng = np.random.default_rng(11)
+    d = rng.normal(size=(20_000, 3))
+    P = d / np.linalg.norm(d, axis=1)[:, None] * (1.0 + 1e-7 * rng.normal(size=(20_000, 1)))
+    subsets = []
+    real = projection.welzl_solve
+    monkeypatch.setattr(projection, "welzl_solve", lambda Q, **kw: subsets.append(Q) or real(Q, **kw))
+    rep = projection.solve(P, sel=6, seed=0)
+    Q = subsets[-1]
+    assert rep.repair_rounds >= 1 and len(Q) > welzl._SMALL
+    got, _ = welzl_solve(Q, seed=0)
+    ball, _ = _move_to_front(Q, 0)
+    full, _ = welzl_solve(P, seed=0)
+    assert rel_err(math.sqrt(ball.r2), got.radius) < 1e-12
+    assert rel_err(got.radius, full.radius) < 1e-12
+    assert rel_err(rep.sphere.radius, full.radius) < 1e-12
