@@ -1,54 +1,48 @@
 #!/usr/bin/env python3
 """How the point reduction works, step by step.
 
-A budget of k planes buys 4k directions, and the point extreme along each
-direction is kept. For k = 6 the directions are the +-u/+-v in-plane axes
-of six canonical planes; for any other k they are the 4k-point spherical
-Fibonacci set, spread evenly over the whole sphere. The union of the picks
-is the reduced set P_s; the sphere of P_s is verified against the full
-cloud and repaired if any point pokes out.
+A budget of k planes buys 4k directions, the 4k-point spherical Fibonacci
+set, spread evenly over the whole sphere, and the point extreme along each
+direction is kept. The union of the picks is the reduced set P_s; the
+sphere of P_s is verified against the full cloud and repaired if any point
+pokes out.
 """
 
 import numpy as np
 
-from minisphere import KSelection, generate_orientations, reduce, select_k, solve
+from minisphere import reduce, select_k, solve
 from minisphere.datagen import generate
 
-# --- the direction families ----------------------------------------------
-print("k=6 uses a fixed symmetric family of planes (+-u, +-v of each):")
-for f in generate_orientations(6):
-    print(f"  normal {np.round(f.normal, 6)}")
-
-# any other k: m = 4k spherical Fibonacci directions, the published set
+# --- the direction matrix -------------------------------------------------
+# m = 4k spherical Fibonacci directions, the published set
 # z_i = 1 - (2i+1)/m, phi_i = 2*pi*frac(i/golden ratio)
-k = 12
+k = 6
 m = 4 * k
 i = np.arange(m)
 z = 1.0 - (2 * i + 1) / m
 phi = 2 * np.pi * np.mod(i / ((1 + 5 ** 0.5) / 2), 1.0)
 D = np.column_stack([np.sqrt(1 - z * z) * np.cos(phi), np.sqrt(1 - z * z) * np.sin(phi), z])
-print(f"\nk={k} uses {m} spherical Fibonacci directions (first 5):")
-for d in D[:5]:
-    print(f"  direction {np.round(d, 6)}")
+print(f"k={k} buys {m} spherical Fibonacci directions:")
+for n, d in enumerate(D):
+    print(f"  {n:2d}: {np.round(d, 4)}")
 body_diag = np.ones(3) / np.sqrt(3.0)
 print(f"closest direction to the body diagonal is {np.degrees(np.arccos((D @ body_diag).max())):.1f} deg away")
 
 # the picks are the points extreme along those directions
 cloud = generate("uniform-ball", 30, seed=0)
 red = reduce(cloud, k)
-want = list(dict.fromkeys(np.argmax(cloud @ D.T, axis=0).tolist()))
-print("reduce(k=12) on a 30-point ball picks the argmax along each direction:",
-      red.indices.tolist() == want)
+print(f"reduce(k={k}) on a 30-point ball picks the argmax along each direction:",
+      red.picks.tolist() == np.argmax(cloud @ D.T, axis=0).tolist())
 
 # --- reduction on a cube with an interior point --------------------------
 corners = np.array([(x, y, z) for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
 P = np.vstack([corners, [[0.5, 0.5, 0.5]]])
 
-red = reduce(P, KSelection("symmetric-6", 6))
-print(f"\ncube + center, k=6: selected rows {red.indices.tolist()}")
-print("per-plane picks (max u, min u, max v, min v):")
-for f, quad in zip(generate_orientations(6), red.per_plane):
-    print(f"  n={np.round(f.normal, 3)} -> {tuple(quad)}")
+red = reduce(P, k)
+print(f"\ncube + center, k={k}: selected rows {red.indices.tolist()}")
+print("per-direction picks (an exact tie goes to the largest x, then y, then z):")
+for n, (d, pick) in enumerate(zip(D, red.picks)):
+    print(f"  {n:2d}: {np.round(d, 3)} -> row {pick} {P[pick]}")
 print("row 8 (the interior center) is never selected:", 8 not in red.indices)
 
 # --- the budget and the automatic plane count ----------------------------

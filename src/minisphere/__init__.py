@@ -24,13 +24,8 @@ from .geom import (
 from .oracle import brute_force_ses, enclosing_circle_2d, is_hull_vertex
 from .projection import (
     KSelection,
-    ProjectionFrame,
     ReducedSet,
     SolveReport,
-    extreme4,
-    generate_orientations,
-    make_frame,
-    project,
     reduce,
     select_k,
     solve,
@@ -52,14 +47,9 @@ __all__ = [
     "welzl_solve",
     "min_sphere_with_boundary",
     "SupportSet",
-    "ProjectionFrame",
     "KSelection",
     "ReducedSet",
     "SolveReport",
-    "make_frame",
-    "generate_orientations",
-    "project",
-    "extreme4",
     "reduce",
     "select_k",
     "solve",

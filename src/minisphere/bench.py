@@ -52,8 +52,8 @@ def run_scaling(sizes, strategy: str = "projection", seeds=(0, 1, 2), k_mode=24,
     sizes : strictly ascending counts, each >= 1000, at least two of them.
     strategy : "projection" (reduce + repair) or "welzl" (full cloud).
     seeds : at least 3 seeds; the per-size time is the median over seeds.
-    k_mode : fixed plane count (int), or "general" / "symmetric-6" to let
-        select_k pick per size.
+    k_mode : fixed plane count (int), or "general" to let select_k pick
+        per size.
     kind : generator for the test clouds.
 
     A warm-up solve per size is discarded before timing.
@@ -70,11 +70,13 @@ def run_scaling(sizes, strategy: str = "projection", seeds=(0, 1, 2), k_mode=24,
         raise InsufficientSamplesError("need at least 3 seeds for a stable median")
     if strategy not in ("projection", "welzl"):
         raise InvalidParamsError(f"unknown strategy {strategy!r}")
+    if isinstance(k_mode, str) and k_mode != "general":
+        raise InvalidParamsError(f"unknown selection mode {k_mode!r}")
 
     per_size = []
     for n in sizes:
         if isinstance(k_mode, str):
-            k = select_k(n, mode=k_mode).k
+            k = select_k(n).k
         else:
             k = int(k_mode)
         clouds = {s: datagen.generate(kind, n, seed=s) for s in seeds}

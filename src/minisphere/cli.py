@@ -91,13 +91,13 @@ def _k_arg(text: str):
 
 
 def _k_mode_arg(text: str):
-    if text in ("general", "symmetric-6"):
+    if text == "general":
         return text
     try:
         return int(text, 10)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"--k takes an integer, 'general', or 'symmetric-6', got {text!r}"
+            f"--k takes an integer or 'general', got {text!r}"
         ) from None
 
 
@@ -216,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scal.add_argument("--seeds", type=_int_list, default=[0, 1, 2],
                         help="comma list or a..b range, at least 3")
     p_scal.add_argument("--k", type=_k_mode_arg, default=24,
-                        help="fixed plane count, or 'general'/'symmetric-6'")
+                        help="fixed plane count, or 'general' for select_k")
     p_scal.add_argument("--strategy", choices=("projection", "welzl"), default="projection")
     p_scal.add_argument("--kind", choices=datagen.kinds(), default="uniform-ball")
     p_scal.add_argument("--out", default=None, help="write the report here instead of stdout")

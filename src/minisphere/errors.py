@@ -17,10 +17,6 @@ class InvalidKError(MinisphereError, ValueError):
     """Requested plane count is not a positive integer."""
 
 
-class ZeroNormalError(MinisphereError, ValueError):
-    """A near-zero normal vector cannot define a projection plane."""
-
-
 class TooLargeError(MinisphereError, ValueError):
     """Input exceeds the size bound of a desk-scale oracle."""
 

@@ -3,203 +3,82 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from minisphere import projection
 from minisphere.datagen import generate, kinds
-from minisphere.errors import InvalidKError, InvalidParamsError, ZeroNormalError
+from minisphere.errors import InvalidKError, InvalidParamsError
 from minisphere.oracle import is_hull_vertex
-from minisphere.projection import (
-    KSelection,
-    extreme4,
-    generate_orientations,
-    make_frame,
-    project,
-    reduce,
-    select_k,
-    solve,
-)
+from minisphere.projection import KSelection, reduce, select_k, solve
 from minisphere.welzl import welzl_solve
 
 from conftest import cube_corners, max_violation, random_rotation, rel_err
 
 
-class TestMakeFrame:
-    def test_orthonormal_right_handed(self):
-        f = make_frame((1.0, 2.0, 3.0))
-        n, u, v = f.normal, f.u, f.v
-        for vec in (n, u, v):
-            assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-        assert abs(np.dot(n, u)) < 1e-12
-        assert abs(np.dot(n, v)) < 1e-12
-        assert np.allclose(np.cross(n, u), v, atol=1e-12)
-
-    def test_z_axis_normal(self):
-        # smallest |component| is x, so the seed axis is x and u is its
-        # in-plane part, which is x itself
-        f = make_frame((0.0, 0.0, 1.0))
-        assert np.allclose(f.u, [1.0, 0.0, 0.0], atol=0)
-        assert np.allclose(f.v, [0.0, 1.0, 0.0], atol=0)
-
-    def test_seed_axis_ties_take_first(self):
-        # |n_x| == |n_y|: argmin takes x
-        f = make_frame(np.array([1.0, 1.0, 2.0]) / math.sqrt(6.0))
-        e = np.array([1.0, 0.0, 0.0])
-        w = e - np.dot(e, f.normal) * f.normal
-        assert np.allclose(f.u, w / np.linalg.norm(w), atol=1e-15)
-
-    def test_input_normalized(self):
-        a = make_frame((0.0, 0.0, 7.5))
-        b = make_frame((0.0, 0.0, 1.0))
-        assert np.allclose(a.normal, b.normal, atol=0)
-        assert np.allclose(a.u, b.u, atol=0)
-
-    def test_zero_normal_rejected(self):
-        with pytest.raises(ZeroNormalError):
-            make_frame((0.0, 0.0, 0.0))
-        with pytest.raises(ZeroNormalError):
-            make_frame((1e-13, 0.0, 0.0))
-
-
-unit_normal = st.tuples(
-    st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)
-).filter(lambda t: 1e-6 < sum(x * x for x in t))
-
-
-@given(unit_normal)
-@settings(deadline=None, max_examples=80)
-def test_frame_properties_hold_everywhere(nvec):
-    f = make_frame(nvec)
-    G = np.stack([f.u, f.v, f.normal])
-    assert np.allclose(G @ G.T, np.eye(3), atol=1e-10)
-    assert np.linalg.det(G) > 0.99
-
-
 class TestOrientations:
-    def test_k6_is_the_canonical_set(self):
-        s = 1.0 / math.sqrt(2.0)
-        want = [
-            (0.0, 0.0, 1.0),
-            (0.0, 1.0, 0.0),
-            (1.0, 0.0, 0.0),
-            (s, s, 0.0),
-            (0.0, s, s),
-            (s, 0.0, s),
-        ]
-        frames = generate_orientations(6)
-        assert len(frames) == 6
-        for f, w in zip(frames, want):
-            assert np.allclose(f.normal, w, atol=1e-15)
-
-    def test_spiral_first_direction_is_pole(self):
-        for k in (1, 2, 7, 50):
-            f = generate_orientations(k)[0]
-            assert np.allclose(f.normal, [0.0, 0.0, 1.0], atol=0)
-
-    def test_prefix_nesting(self):
-        """Normals depend only on their index, so prefixes agree across k."""
-        big = generate_orientations(96)
-        small = generate_orientations(48)
-        for a, b in zip(small, big):
-            assert np.array_equal(a.normal, b.normal)
-
     def test_spiral_spread_frozen(self):
         # derived once from the construction and pinned: the closest pair of
-        # the first 100 spiral directions
-        N = np.stack([f.normal for f in generate_orientations(100)])
+        # the 100-point spherical Fibonacci set (k = 25)
+        N = projection._fibonacci_directions(100)
         dots = N @ N.T
         np.fill_diagonal(dots, -1.0)
-        assert dots.max() == pytest.approx(0.9921875, abs=1e-12)
+        assert dots.max() == pytest.approx(0.9522479509819215, abs=1e-12)
         assert np.abs(np.linalg.norm(N, axis=1) - 1.0).max() < 5e-16
 
     def test_bad_k_rejected(self):
-        for bad in (0, -3):
+        P = cube_corners()
+        for bad in (0, -3, 2.5, "six"):
             with pytest.raises(InvalidKError):
-                generate_orientations(bad)
-        with pytest.raises(InvalidKError):
-            generate_orientations(2.5)
+                reduce(P, bad)
+            with pytest.raises(InvalidKError):
+                solve(P, sel=bad)
 
     def test_k1_usable(self):
-        (f,) = generate_orientations(1)
-        assert abs(np.linalg.norm(f.u) - 1.0) < 1e-15
-
-
-def test_project_hand_case():
-    f = make_frame((0.0, 0.0, 1.0))
-    assert project((3.0, -4.0, 9.0), f) == (3.0, -4.0)
-
-
-def test_extreme4_tie_rules():
-    f = make_frame((0.0, 0.0, 1.0))  # u = x, v = y
-    # rows 0 and 2 tie on max x; row 2 has the larger y and must win
-    P = np.array([
-        [5.0, 0.0, 0.0],
-        [-5.0, 0.0, 0.0],
-        [5.0, 2.0, 0.0],
-        [0.0, 7.0, 0.0],
-        [0.0, -7.0, 0.0],
-    ])
-    imax_u, imin_u, imax_v, imin_v = extreme4(P, f)
-    assert imax_u == 2
-    assert imin_u == 1
-    assert imax_v == 3
-    assert imin_v == 4
-
-    # exact tie in both coordinates resolves to the lowest index
-    Q = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 5.0], [0.0, 0.0, 0.0]])
-    imax_u, _, _, _ = extreme4(Q, f)
-    assert imax_u == 0
+        red = reduce(cube_corners(), 1)
+        assert len(red.picks) == 4
 
 
 def test_reduce_cube_plus_center_frozen():
-    """Pinned selection for the canonical six planes on the axis-aligned cube.
+    """Pinned k = 6 selection on the axis-aligned cube plus its centre.
 
-    Every direction is maximised by a whole face or edge, so the picks follow
-    the lexicographic tie rule along make_frame(d), not the corner count.
-    Frame 0 (normal z) traced by hand: +x ties on x = 1, then the frame of x
-    orders by y and then z, giving corner 7; -x orders by y then -z (corner
-    2); +y by x then -z (corner 6); -y by x then z (corner 5). Six corners
-    appear; the center never does, and corners 0 and 1 lose every tie.
+    Traced by hand from the 24 spherical Fibonacci directions. Direction 0
+    is (sin t, 0, cos t) with cos t = 23/24, so corners 5 = (1, 0, 1) and
+    7 = (1, 1, 1) tie along it; both have x = 1, and the larger y gives
+    corner 7. Every other direction has three non-zero components, so its
+    maximum is the one corner on the sign side of each, 4*[x > 0] +
+    2*[y > 0] + [z > 0]: direction 1 = (-0.36, -0.33, 0.88) gives corner 1,
+    direction 2 = (0.05, 0.61, 0.79) corner 7, and so on. The directions
+    reach all eight octants, so all eight corners appear; the centre never
+    does.
     """
     P = np.vstack([cube_corners(), [[0.5, 0.5, 0.5]]])
-    red = reduce(P, KSelection("symmetric-6", 6))
-    assert red.indices.tolist() == [7, 2, 6, 5, 4, 3]
-    assert [tuple(q) for q in red.per_plane] == [
-        (7, 2, 6, 5),
-        (7, 2, 4, 7),
-        (6, 5, 7, 4),
-        (7, 4, 5, 3),
-        (7, 2, 6, 5),
-        (6, 5, 3, 6),
+    red = reduce(P, KSelection("general", 6))
+    assert red.indices.tolist() == [7, 1, 5, 3, 2, 6, 0, 4]
+    assert red.picks.tolist() == [
+        7, 1, 7, 5, 3, 7, 1, 3, 5, 1, 7, 5,
+        2, 6, 0, 2, 4, 0, 6, 0, 2, 4, 0, 6,
     ]
     assert 8 not in red.indices  # the interior point
 
 
 def test_reduce_exact_ties_pick_hull_vertices():
-    """Fibonacci direction 0 has y = 0 exactly, and every canonical k = 6
-    axis is a coordinate axis or a face diagonal, so on an axis-aligned cube
-    they are maximised by a whole edge or face. The lexicographic tie rule
-    must still pick a corner. Edge midpoints and face centres come first, so
-    a bare lowest-index rule would pick a midpoint."""
+    """Fibonacci direction 0 has y = 0 exactly, so on an axis-aligned cube
+    it is maximised by a whole edge. The lexicographic tie rule must still
+    pick a corner. Edge midpoints and face centres come first, so a bare
+    lowest-index rule would pick a midpoint."""
     corners = cube_corners()
     mids = [(a + b) / 2.0 for a, b in itertools.combinations(corners, 2) if np.abs(a - b).sum() == 1.0]
     faces = [np.where(np.arange(3) == ax, side, 0.5) for ax in range(3) for side in (0.0, 1.0)]
     P = np.vstack([mids, faces, corners])
     assert len(P) == 26
-    sels = [KSelection("general", k) for k in (1, 2, 6, 13, 24)] + [KSelection("symmetric-6", 6)]
-    for sel in sels:
-        red = reduce(P, sel)
+    for k in (1, 2, 6, 13, 24):
+        red = reduce(P, KSelection("general", k))
         bad = [i for i in red.indices.tolist() if not is_hull_vertex(i, P)]
-        assert bad == [], (sel, bad)
+        assert bad == [], (k, bad)
 
 
 def _reference_directions(k):
-    """The reduce directions rebuilt from their definitions: the +-u, +-v
-    axes of the canonical frames for k = 6, else the 4k-point spherical
-    Fibonacci set (Keinert et al. 2015)."""
-    if k == 6:
-        return np.array([a for f in generate_orientations(6) for a in (f.u, -f.u, f.v, -f.v)])
+    """The 4k-point spherical Fibonacci set rebuilt from its definition
+    (Keinert et al. 2015)."""
     m = 4 * k
     i = np.arange(m)
     z = 1.0 - (2.0 * i + 1.0) / m
@@ -210,12 +89,11 @@ def _reference_directions(k):
 
 def _reference_picks(P, k):
     """Brute force: a full-column argmax per direction, then the
-    lexicographic rule along (d, e1, e2) of make_frame(d), then the lowest index."""
+    lexicographic rule along x, y and z, then the lowest index."""
     picks = []
     for d in _reference_directions(k):
         ties = np.arange(len(P))
-        f = make_frame(d)
-        for e in (d, f.u, f.v):
+        for e in (d, *np.eye(3)):
             s = P[ties] @ e
             ties = ties[s == s.max()]
         picks.append(int(ties[0]))
@@ -223,7 +101,7 @@ def _reference_picks(P, k):
 
 
 def _fused_picks(P, k):
-    return [i for quad in reduce(P, KSelection("general", k)).per_plane for i in quad]
+    return reduce(P, KSelection("general", k)).picks.tolist()
 
 
 def _chunk(k):
@@ -244,10 +122,9 @@ def test_fused_reduce_matches_brute_force_on_random_clouds(k):
 def test_fused_reduce_matches_brute_force_on_exact_ties(k):
     """A small integer grid ties along many directions, inside chunks and
     from chunk to chunk. Then clouds with no other ties get a pair of rows
-    tied alone along direction 0 (+x for k = 6; otherwise the Fibonacci
-    direction whose y component is 0), once inside chunk 0 and once across
-    the boundary between chunks 0 and 1; the lexicographic rule picks the
-    later row of the pair."""
+    tied alone along direction 0 (the Fibonacci direction whose y component
+    is 0), once inside chunk 0 and once across the boundary between chunks
+    0 and 1; the lexicographic rule picks the later row of the pair."""
     rng = np.random.default_rng(100 + k)
     c = _chunk(k)
     grid = rng.integers(0, 4, size=(2 * c + 11, 3)).astype(np.float64)
@@ -269,7 +146,7 @@ def test_reduce_indices_unique_and_budgeted():
             idx = red.indices
             assert len(set(idx.tolist())) == len(idx)
             assert len(idx) <= 4 * k
-            assert len(red.per_plane) == k
+            assert len(red.picks) == 4 * k
 
 
 def test_reduce_keeps_extremes_of_rotated_cloud():
@@ -283,23 +160,16 @@ def test_reduce_keeps_extremes_of_rotated_cloud():
 
 class TestSelectK:
     def test_frozen_table(self):
-        # (n, expected k) pinned from the formula with c1=2, c2=1
+        # (n, expected k) pinned from the formula max(6, ceil(2 * n^(1/4)))
         assert select_k(16).k == 6
         assert select_k(10_000).k == 20
         assert select_k(1_000_000).k == 64
-        assert select_k(1).k == 6  # sqrt clamp below the floor is waived
+        assert select_k(1).k == 6
         assert select_k(30).k == 6
-        assert select_k(40, c2=0.1).k == 6  # ceil(0.1*sqrt(40)) = 1 < 6: waived
-
-    def test_symmetric_mode(self):
-        sel = select_k(5000, mode="symmetric-6")
-        assert sel.mode == "symmetric-6" and sel.k == 6
 
     def test_validation(self):
         with pytest.raises(InvalidParamsError):
             select_k(0)
-        with pytest.raises(InvalidParamsError):
-            select_k(100, mode="norwegian")
 
     def test_monotone_and_bounded(self):
         prev = 0
@@ -318,7 +188,7 @@ class TestSolve:
         assert np.allclose(rep.sphere.center, [0.5, 0.5, 0.5], atol=1e-12)
         assert rep.strategy == "projection"
         assert rep.input_count == 9
-        assert rep.reduced_size == 6
+        assert rep.reduced_size == 8
         assert 8 not in rep.support_indices
 
     def test_report_shape(self):
