@@ -5,13 +5,13 @@ quadruples) with its own batched linear algebra; it shares no code with the
 incremental solver, which is what makes cross-checks meaningful.
 ``is_hull_vertex`` answers membership in the convex-hull vertex set through
 a linear feasibility problem. Both are capped to small inputs on purpose.
+SciPy is imported inside the functions that use it, so ``import
+minisphere`` and the CLI do not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import EmptyInputError, TooLargeError
 from .geom import Sphere, Tolerance, as_cloud, tolerance_for
@@ -220,6 +220,8 @@ def is_hull_vertex(index: int, points, tol: Tolerance | None = None) -> bool:
     ``1e-9 * scale``: points within that band of a hull face count as
     non-vertices.
     """
+    from scipy.optimize import linprog
+
     P = as_cloud(points)
     n = len(P)
     if n > _MAX_HULL:
@@ -258,6 +260,8 @@ def enclosing_circle_2d(points2d) -> tuple[np.ndarray, float]:
     encloses everything), then enumerates pair and triple candidates the
     same way the 3D oracle does. The hull must have at most 400 vertices.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     Q = np.asarray(points2d, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[1] != 2:
         raise EmptyInputError("expected an (N, 2) array") if Q.size == 0 else ValueError("expected an (N, 2) array")

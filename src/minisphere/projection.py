@@ -6,8 +6,10 @@ is dense on the whole sphere as the epsilon-kernel covering argument asks
 (Agarwal, Har-Peled & Varadarajan, 2004). The point extreme along each
 direction is kept. Extremes of a linear functional are convex-hull
 vertices, so the union of the picks is a small certificate set. Its
-enclosing sphere is then verified against the full cloud and repaired with
-any escapees until enclosure holds.
+enclosing sphere is then verified against the full cloud and repaired by
+pivoting (Gaertner 1999): the point farthest outside joins the support,
+until no point is outside. That is ``welzl_solve``'s own loop, run over
+the full cloud from the small set's support.
 
 All 4K extremes come from one fused kernel: the (4K, 3) direction matrix
 times a column chunk of the cloud, into one reused buffer of about 1 MB,
@@ -28,12 +30,10 @@ import numpy as np
 
 from .errors import InvalidKError, InvalidParamsError
 from .geom import Sphere, Tolerance, as_cloud, tolerance_for
-from .welzl import welzl_solve
+from .welzl import _pivot_solve, welzl_solve
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 _BLOCK_ELEMS = 2 ** 17  # doubles per reduce block: ~1 MB, which keeps BLAS threading cheap
-_MAX_REPAIR = 16
-_VERIFY_CHUNK = 262144
 
 
 class KSelection(NamedTuple):
@@ -61,6 +61,13 @@ class ReducedSet(NamedTuple):
 
 @dataclass
 class SolveReport:
+    """``repair_rounds`` counts the full-cloud pivots after the reduced
+    set's solve; ``fallback_full_solve`` says rounding stalled them and a
+    move-to-front Welzl over the full cloud finished. ``timings``:
+    ``reduce_ms`` (ingest, tolerance, reduce), ``solve_ms`` (the reduced
+    set's solve), ``verify_ms`` (the full-cloud scans and pivots).
+    """
+
     sphere: Sphere
     support_indices: tuple
     strategy: str
@@ -205,27 +212,6 @@ def select_k(n) -> KSelection:
     return KSelection("general", max(math.ceil(2.0 * n ** 0.25), 6))
 
 
-def _violators(P: np.ndarray, sphere: Sphere, band: float, mask: np.ndarray) -> np.ndarray:
-    lim = sphere.radius + band
-    lim2 = lim * lim
-    cx, cy, cz = sphere.center
-    found = []
-    for lo in range(0, len(P), _VERIFY_CHUNK):
-        Q = P[lo:lo + _VERIFY_CHUNK]
-        d2 = np.square(Q[:, 0] - cx)
-        d2 += np.square(Q[:, 1] - cy)
-        d2 += np.square(Q[:, 2] - cz)
-        bad = d2 > lim2
-        if bad.any():
-            rows = np.flatnonzero(bad) + lo
-            rows = rows[~mask[rows]]
-            if rows.size:
-                found.append(rows)
-    if not found:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate(found)
-
-
 def solve(points, sel=None, seed: int = 0, tol: Tolerance | None = None) -> SolveReport:
     """Reduce, solve the reduced set, verify against the full cloud, repair.
 
@@ -235,74 +221,46 @@ def solve(points, sel=None, seed: int = 0, tol: Tolerance | None = None) -> Solv
     sel : KSelection, bare plane count, "auto", or None (auto). Auto picks
         select_k(N). Any other value must be a positive integer count, or
         InvalidKError is raised, as in ``reduce``.
-    seed : handed to ``welzl_solve``, whose fallback shuffle it seeds.
+    seed : seeds the shuffle of the move-to-front fallback, in both solves.
     tol : optional Tolerance for degeneracy predicates.
 
     Returns
     -------
-    SolveReport. Points outside the candidate sphere (beyond a verification
-    band far tighter than user tolerance) are appended to the reduced set
-    and the solve repeats; after 16 repair rounds the solver falls back to
-    the full cloud and says so in ``fallback_full_solve``.
+    SolveReport. The reduced set's sphere is the start of a pivoting over
+    the full cloud: while a point lies outside (beyond a band far tighter
+    than user tolerance), the farthest one joins the support and the ball
+    is rebuilt. Each pivot is a repair round. If rounding stalls the
+    pivoting, a move-to-front Welzl over the full cloud finishes the solve
+    and ``fallback_full_solve`` says so.
     """
     t0 = time.perf_counter()
     P = as_cloud(points)
-    n = len(P)
     if tol is None:
         tol = tolerance_for(P)
     if sel is None or (isinstance(sel, str) and sel == "auto"):
-        sel = select_k(n)
+        sel = select_k(len(P))
     k = _plane_count(sel)
 
     rset = reduce(P, k)
-    reduce_s = time.perf_counter() - t0  # ingestion counts toward the reduce stage
-
-    band = 1e-12 * tol.scale
-    mask = np.zeros(n, dtype=bool)
-    mask[rset.indices] = True
-    subset = rset.indices.copy()
-    solve_s = 0.0
-    verify_s = 0.0
-    repair_rounds = 0
-    fallback = False
-    while True:
-        t1 = time.perf_counter()
-        sphere, sup = welzl_solve(P[subset], seed=seed, tol=tol)
-        solve_s += time.perf_counter() - t1
-        t2 = time.perf_counter()
-        viol = _violators(P, sphere, band, mask)
-        if viol.size == 0:
-            verify_s += time.perf_counter() - t2
-            support = tuple(sorted(int(subset[i]) for i in sup.indices))
-            break
-        if repair_rounds >= _MAX_REPAIR:
-            verify_s += time.perf_counter() - t2
-            t1 = time.perf_counter()
-            sphere, sup = welzl_solve(P, seed=seed, tol=tol)
-            solve_s += time.perf_counter() - t1
-            support = tuple(sorted(int(i) for i in sup.indices))
-            fallback = True
-            break
-        repair_rounds += 1
-        mask[viol] = True
-        # the last support leads, so the next small solve starts from the last sphere
-        lead = list(sup.indices)
-        subset = np.concatenate([subset[lead], viol, np.delete(subset, lead)])
-        verify_s += time.perf_counter() - t2
+    t1 = time.perf_counter()  # ingestion counts toward the reduce stage
+    _, sup = welzl_solve(P[rset.indices], seed=seed, tol=tol)
+    t2 = time.perf_counter()
+    sphere, support, pivots, stalled = _pivot_solve(P, rset.indices[list(sup.indices)].tolist(), seed, tol)
+    t3 = time.perf_counter()
 
     return SolveReport(
         sphere=sphere,
-        support_indices=support,
+        support_indices=support.indices,
         strategy="projection",
         k=k,
         reduced_size=int(len(rset.indices)),
-        repair_rounds=repair_rounds,
+        repair_rounds=pivots,
         timings={
-            "reduce_ms": reduce_s * 1000.0,
-            "solve_ms": solve_s * 1000.0,
-            "verify_ms": verify_s * 1000.0,
+            "reduce_ms": (t1 - t0) * 1000.0,
+            "solve_ms": (t2 - t1) * 1000.0,
+            "verify_ms": (t3 - t2) * 1000.0,
         },
-        input_count=n,
+        input_count=len(P),
         seed=int(seed),
-        fallback_full_solve=fallback,
+        fallback_full_solve=stalled,
     )

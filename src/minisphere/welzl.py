@@ -4,11 +4,12 @@ Gaertner's pivoting ("Fast and Robust Smallest Enclosing Balls", 1999) on
 Welzl's recursion (1991): the point farthest outside the current ball is
 found with one vectorized scan, and the ball of the current support plus
 that point, with the point pinned, replaces it. Pinned sets hold at most
-four points, so no recursion is open-ended. If rounding stalls the
-pivoting, a move-to-front Welzl scan over a shuffled copy finishes the
-solve; it also serves ``min_sphere_with_boundary``. Near-co-spherical
-inputs drive the ball constructors hard, so all candidate-sphere math runs
-on bare floats.
+four points, so no recursion is open-ended. ``projection.solve``'s repair
+is this loop run over the full cloud from the reduced set's support. If
+rounding stalls the pivoting, a move-to-front Welzl scan over a shuffled
+copy finishes the solve; it also serves ``min_sphere_with_boundary``.
+Near-co-spherical inputs drive the ball constructors hard, so all
+candidate-sphere math runs on bare floats.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from .errors import DegenerateCollinear, DegenerateCoplanar, EmptyInputError, In
 from .geom import Sphere, Tolerance, _circum3, _circum4, as_cloud, tolerance_for
 
 _CHUNK = 8192
+_SCAN_CHUNK = 262144  # rows per farthest-point scan chunk
 # below this the pure-scalar scan beats vectorized-call overhead
 _SMALL = 3072
 # relative slack on r^2 in violation tests; well below any user tolerance
 _REL_BAND = 1.0 + 4e-13
+_ULP = 2.0 ** -52  # one unit in the last place, relative to a coordinate's magnitude
 
 
 class SupportSet(NamedTuple):
@@ -101,21 +104,32 @@ def welzl_solve(points, seed: int = 0, tol: Tolerance | None = None) -> tuple[Sp
     (Sphere, SupportSet) where the support holds 1 to 4 input indices
     (sorted, deduplicated) of points on the sphere boundary.
 
-    The pivoting starts from the min ball of the first (up to four) rows,
-    so a caller that knows a near-final support can warm-start the solve
-    by passing those rows first.
+    The pivoting starts from the exact min ball of the first (up to four)
+    rows, so a caller that knows the final support can warm-start the
+    solve by passing those rows first: then no pivot is needed.
     """
     P = as_cloud(points)
     if tol is None:
         tol = tolerance_for(P)
-    ball = _pivot_ball(P, tol)
-    if ball is None:
+    return _pivot_solve(P, range(min(len(P), 4)), seed, tol)[:2]
+
+
+def _pivot_solve(P: np.ndarray, start, seed: int, tol: Tolerance) -> tuple[Sphere, SupportSet, int, bool]:
+    """Min ball of the rows of P, pivoting from the exact ball of rows ``start``.
+
+    Returns the sphere, its support, the number of pivots taken and
+    whether rounding stalled them, in which case a move-to-front Welzl
+    over a ``seed``-shuffled copy of P finished the solve.
+    """
+    ball, pivots = _pivot_ball(P, start, tol)
+    stalled = ball is None
+    if stalled:
         order = np.random.default_rng(seed).permutation(len(P))
         ball = _min_ball(_Ctx.of(P, order, tol), len(P), ())
     rows = sorted({i for (_, i) in ball.support})
     support = SupportSet(tuple(rows), P[rows].copy())
     sphere = Sphere(np.array(ball.c, dtype=np.float64), math.sqrt(max(ball.r2, 0.0)))
-    return sphere, support
+    return sphere, support, pivots, stalled
 
 
 def min_sphere_with_boundary(points, boundary, tol: Tolerance | None = None) -> Sphere:
@@ -143,28 +157,30 @@ def min_sphere_with_boundary(points, boundary, tol: Tolerance | None = None) -> 
     return Sphere(np.array(ball.c, dtype=np.float64), math.sqrt(max(ball.r2, 0.0)))
 
 
-def _pivot_ball(P: np.ndarray, tol: Tolerance) -> _Ball | None:
-    """Min ball of the rows of P by Gaertner's pivoting.
+def _pivot_ball(P: np.ndarray, start, tol: Tolerance) -> tuple[_Ball | None, int]:
+    """Min ball of the rows of P by Gaertner's pivoting, and its pivot count.
 
-    Each pivot lies outside the current ball: first rows 1 to 3 in turn,
-    then always the row farthest outside. The min ball of the current
-    support plus the pivot, with the pivot pinned, replaces the ball, so
-    the radius grows every round and the loop ends. Returns None if
-    rounding stalls the growth.
+    The start ball is the exact min ball of the (one to four) rows
+    ``start``, by plain Welzl. Each pivot is then the row farthest outside
+    the ball; the min ball of the current support plus the pivot, with the
+    pivot pinned, replaces the ball, so the radius grows every round and
+    the loop ends. The ball is None if rounding stalls the growth.
     """
     eps, abs2 = tol.eps_rel, (1e-14 * tol.scale) ** 2
-    ball = _ball1(_row(P, 0))
-    for i in range(1, min(len(P), 4)):
-        e = _row(P, i)
-        if _outside(ball, e, abs2):
-            ball = _pinned_ball(ball.support, (e,), eps, abs2)
+    first = tuple(_row(P, i) for i in start)
+    ball = _ball1(first[0])
+    for k in range(1, len(first)):
+        if _outside(ball, first[k], abs2):
+            ball = _pinned_ball(first[:k], (first[k],), eps, abs2)
+    pivots = 0
     while True:
         j = _farthest_outside(P, ball, abs2)
         if j < 0:
-            return ball
+            return ball, pivots
         grown = _pinned_ball(ball.support, (_row(P, j),), eps, abs2)
+        pivots += 1
         if not grown.r2 > ball.r2:
-            return None
+            return None, pivots
         ball = grown
 
 
@@ -215,7 +231,7 @@ def _first_outside(ctx: _Ctx, ball: _Ball, start: int, stop: int) -> int:
     if start >= stop:
         return -1
     cx, cy, cz = ball.c
-    thr = ball.r2 * _REL_BAND + ctx.abs2
+    thr = _limit(ball, ctx.abs2)
     xs, ys, zs = ctx.xs, ctx.ys, ctx.zs
     if ctx.small:
         for i in range(start, stop):
@@ -238,12 +254,14 @@ def _first_outside(ctx: _Ctx, ball: _Ball, start: int, stop: int) -> int:
 
 def _farthest_outside(P: np.ndarray, ball: _Ball, abs2: float) -> int:
     """Row of P farthest from the ball's centre if it lies outside, else -1."""
-    c = np.array(ball.c)
-    far = ball.r2 * _REL_BAND + abs2
+    cx, cy, cz = ball.c
+    far = _limit(ball, abs2)
     j = -1
-    for lo in range(0, len(P), _CHUNK):
-        d = P[lo:lo + _CHUNK] - c
-        d2 = np.einsum("ij,ij->i", d, d)
+    for lo in range(0, len(P), _SCAN_CHUNK):
+        Q = P[lo:lo + _SCAN_CHUNK]
+        d2 = np.square(Q[:, 0] - cx)
+        d2 += np.square(Q[:, 1] - cy)
+        d2 += np.square(Q[:, 2] - cz)
         i = int(d2.argmax())
         if d2[i] > far:
             far, j = float(d2[i]), lo + i
@@ -254,7 +272,18 @@ def _outside(ball: _Ball, e, abs2: float) -> bool:
     (x, y, z), _ = e
     cx, cy, cz = ball.c
     dx, dy, dz = x - cx, y - cy, z - cz
-    return dx * dx + dy * dy + dz * dz > ball.r2 * _REL_BAND + abs2
+    return dx * dx + dy * dy + dz * dz > _limit(ball, abs2)
+
+
+def _limit(ball: _Ball, abs2: float) -> float:
+    """Squared distance from the centre beyond which a point is outside.
+
+    The radius is widened by the rounding of a stored centre, so that
+    clouds far from the origin do not stall the pivoting.
+    """
+    cx, cy, cz = ball.c
+    r = math.sqrt(ball.r2) + _ULP * max(abs(cx), abs(cy), abs(cz))
+    return r * r * _REL_BAND + abs2
 
 
 def _row(P: np.ndarray, i: int):

@@ -27,6 +27,13 @@ def cube_corners() -> np.ndarray:
     return np.array(list(itertools.product((0.0, 1.0), repeat=3)))
 
 
+def noisy_shell(n: int, noise: float = 1e-7, seed: int = 11) -> np.ndarray:
+    """n Gaussian directions on the unit sphere with relative radial noise."""
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(n, 3))
+    return d / np.linalg.norm(d, axis=1)[:, None] * (1.0 + noise * rng.normal(size=(n, 1)))
+
+
 def max_violation(points: np.ndarray, center, radius: float) -> float:
     """Largest distance beyond the radius over the cloud (0 when enclosed)."""
     d = np.linalg.norm(np.asarray(points, dtype=np.float64) - np.asarray(center)[None, :], axis=1)

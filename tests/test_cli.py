@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from minisphere.cli import main
+from minisphere.datagen import generate
 
 from conftest import cube_corners, rel_err
 
@@ -160,3 +163,28 @@ def test_subprocess_determinism_modulo_timings(tmp_path):
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
     # and the timing fields were actually present before stripping
     assert json.loads(a.stdout)["timings"]["solve_ms"] >= 0.0
+
+
+_NO_SCIPY = """
+import runpy, sys
+import minisphere
+assert "scipy" not in sys.modules, "import minisphere loaded scipy"
+sys.argv = ["minisphere", "solve", sys.argv[1]]
+try:
+    runpy.run_module("minisphere", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    assert not stop.code, stop.code
+assert "scipy" not in sys.modules, "minisphere solve loaded scipy"
+"""
+
+
+def test_import_and_solve_leave_scipy_unloaded(tmp_cloud_file):
+    """Only the oracles use SciPy, so neither ``import minisphere`` nor
+    ``python -m minisphere solve`` on a 1e4-point file loads it."""
+    cloud = tmp_cloud_file(generate("uniform-ball", 10_000, seed=0), fmt="xyz")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(cloud)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["input_count"] == 10_000

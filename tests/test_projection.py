@@ -11,7 +11,7 @@ from minisphere.oracle import is_hull_vertex
 from minisphere.projection import KSelection, reduce, select_k, solve
 from minisphere.welzl import welzl_solve
 
-from conftest import cube_corners, max_violation, random_rotation, rel_err
+from conftest import cube_corners, max_violation, noisy_shell, random_rotation, rel_err
 
 
 class TestOrientations:
@@ -252,6 +252,25 @@ class TestSolve:
             assert 40 not in red.indices
 
 
+def test_noisy_shell_repair_is_bounded(monkeypatch):
+    """Worst case for repair: a 2e5-point shell with 1e-7 radial noise, on
+    which nearly every point is a hull vertex. The small solve sees only the
+    reduced set (at most 4k rows), and the repair takes 8, 7 and 6
+    full-cloud pivots at k = 1, 6 and auto (43)."""
+    P = noisy_shell(200_000)
+    full, _ = welzl_solve(P, seed=0)
+    sizes = []
+    real = projection.welzl_solve
+    monkeypatch.setattr(projection, "welzl_solve", lambda Q, **kw: sizes.append(len(Q)) or real(Q, **kw))
+    for sel in (1, 6, None):
+        sizes.clear()
+        rep = solve(P, sel=sel, seed=0)
+        assert sizes and max(sizes) <= 4 * rep.k, sel
+        assert not rep.fallback_full_solve, sel
+        assert rep.repair_rounds <= 16, sel
+        assert rel_err(rep.sphere.radius, full.radius) < 1e-12, sel
+
+
 @pytest.mark.parametrize("scale", [10.0 ** e for e in range(-12, 13)] + ["offset"],
                          ids=[f"1e{e}" for e in range(-12, 13)] + ["offset-1e6"])
 def test_solve_is_scale_invariant(scale):
@@ -265,3 +284,17 @@ def test_solve_is_scale_invariant(scale):
         r = rep.sphere.radius
         assert rel_err(r, ref.radius) <= 1e-9, kind
         assert max_violation(P, rep.sphere.center, r) <= 1e-9 * r, kind
+
+
+def test_offset_cloud_pivots_like_the_unit_cloud():
+    """A cloud moved 1e6 from the origin takes the same full-cloud pivots
+    to the same support as at the origin, and never stalls: the outside
+    test allows for the rounding of a centre stored near 1e6."""
+    for i, kind in enumerate(kinds()):
+        P = generate(kind, 10_000, seed=i)
+        unit = solve(P, seed=i)
+        moved = solve(P + 1e6, seed=i)
+        assert not moved.fallback_full_solve, kind
+        assert moved.repair_rounds == unit.repair_rounds, kind
+        assert moved.support_indices == unit.support_indices, kind
+        assert rel_err(moved.sphere.radius, unit.sphere.radius) < 1e-9, kind

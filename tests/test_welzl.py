@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from minisphere.geom import Tolerance, tolerance_for
 from minisphere.oracle import brute_force_ses
 from minisphere.welzl import min_sphere_with_boundary, welzl_solve
 
-from conftest import cube_corners, max_violation, rel_err
+from conftest import cube_corners, max_violation, noisy_shell, rel_err
 
 
 def test_matches_oracle_across_kinds_and_seeds():
@@ -213,19 +214,49 @@ def test_flat4_fallback_in_move_to_front(monkeypatch, lists):
 
 
 def test_noisy_shell_repaired_subset(monkeypatch):
-    """The subset a noisy shell's repair round hands the small solver."""
-    rng = np.random.default_rng(11)
-    d = rng.normal(size=(20_000, 3))
-    P = d / np.linalg.norm(d, axis=1)[:, None] * (1.0 + 1e-7 * rng.normal(size=(20_000, 1)))
+    """A noisy shell's small solve sees only the reduced set; the repair
+    pivots over the full cloud from its support and reaches the full ball."""
+    P = noisy_shell(20_000)
     subsets = []
     real = projection.welzl_solve
     monkeypatch.setattr(projection, "welzl_solve", lambda Q, **kw: subsets.append(Q) or real(Q, **kw))
     rep = projection.solve(P, sel=6, seed=0)
-    Q = subsets[-1]
-    assert rep.repair_rounds >= 1 and len(Q) > welzl._SMALL
-    got, _ = welzl_solve(Q, seed=0)
-    ball, _ = _move_to_front(Q, 0)
+    assert len(subsets) == 1
+    assert np.array_equal(subsets[0], P[projection.reduce(P, 6).indices])
+    assert rep.repair_rounds >= 1 and not rep.fallback_full_solve
     full, _ = welzl_solve(P, seed=0)
-    assert rel_err(math.sqrt(ball.r2), got.radius) < 1e-12
-    assert rel_err(got.radius, full.radius) < 1e-12
+    ball, _ = _move_to_front(P, 0)
     assert rel_err(rep.sphere.radius, full.radius) < 1e-12
+    assert rel_err(math.sqrt(ball.r2), full.radius) < 1e-12
+
+
+def test_start_ball_is_exact_in_every_order():
+    """The start ball is the min ball of all its start rows, whatever their
+    order: pinning only the running support left one of these four rows
+    outside in 12 of the 24 orders, at the cost of a full-cloud pivot."""
+    Q = generate("uniform-ball", 30, seed=1)[[11, 8, 13, 17]]
+    tol = tolerance_for(Q)
+    want = brute_force_ses(Q).radius
+    for order in itertools.permutations(range(4)):
+        ball, pivots = welzl._pivot_ball(Q[list(order)], range(4), tol)
+        assert pivots == 0, order
+        assert rel_err(math.sqrt(ball.r2), want) < 1e-12, order
+
+
+def test_solve_falls_back_when_pivoting_stalls(monkeypatch):
+    """If rounding stalls the full-cloud pivots, move-to-front finishes."""
+    P = generate("uniform-ball", 5000, seed=2)
+    ref, _ = welzl_solve(P, seed=0)
+    real = welzl._pivot_ball
+
+    def stall_on_full_cloud(Q, start, tol):
+        ball, pivots = real(Q, start, tol)
+        return (None, pivots) if len(Q) == len(P) else (ball, pivots)
+
+    monkeypatch.setattr(welzl, "_pivot_ball", stall_on_full_cloud)
+    rep = projection.solve(P, sel=1, seed=0)
+    assert rep.fallback_full_solve
+    assert rel_err(rep.sphere.radius, ref.radius) < 1e-12
+    assert max_violation(P, rep.sphere.center, rep.sphere.radius) <= 1e-12
+    for i in rep.support_indices:
+        assert abs(np.linalg.norm(P[i] - rep.sphere.center) - rep.sphere.radius) < 1e-12
