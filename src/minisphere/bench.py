@@ -17,7 +17,6 @@ from . import datagen, oracle
 from .errors import InsufficientSamplesError, InvalidParamsError, TooLargeError
 from .projection import reduce as reduce_points
 from .projection import select_k, solve
-from .welzl import welzl_solve
 
 _COVERAGE_N = 40  # hull-vertex oracle budget for coverage measurement
 _CONVERGENCE_N = 400
@@ -30,19 +29,6 @@ def _as_int_list(values, what: str) -> list:
     return out
 
 
-def _timed_solve(P, strategy: str, k, seed: int):
-    t0 = time.perf_counter()
-    if strategy == "welzl":
-        welzl_solve(P, seed=seed)
-        total = (time.perf_counter() - t0) * 1000.0
-        stages = {"reduce_ms": 0.0, "solve_ms": total, "verify_ms": 0.0}
-    else:
-        report = solve(P, sel=k, seed=seed)
-        total = (time.perf_counter() - t0) * 1000.0
-        stages = report.timings
-    return total, stages
-
-
 def run_scaling(sizes, strategy: str = "projection", seeds=(0, 1, 2), k_mode=24,
                 kind: str = "uniform-ball") -> dict:
     """Median wall time per size and the log-log slope across sizes.
@@ -50,7 +36,8 @@ def run_scaling(sizes, strategy: str = "projection", seeds=(0, 1, 2), k_mode=24,
     Parameters
     ----------
     sizes : strictly ascending counts, each >= 1000, at least two of them.
-    strategy : "projection" (reduce + repair) or "welzl" (full cloud).
+    strategy : ``solve``'s strategy, "projection" (reduce + repair) or
+        "welzl" (full cloud); ``solve`` rejects any other.
     seeds : at least 3 seeds; the per-size time is the median over seeds.
     k_mode : fixed plane count (int), or "general" to let select_k pick
         per size.
@@ -68,8 +55,6 @@ def run_scaling(sizes, strategy: str = "projection", seeds=(0, 1, 2), k_mode=24,
         raise InsufficientSamplesError("sizes below 1000 are dominated by constant overhead")
     if len(seeds) < 3:
         raise InsufficientSamplesError("need at least 3 seeds for a stable median")
-    if strategy not in ("projection", "welzl"):
-        raise InvalidParamsError(f"unknown strategy {strategy!r}")
     if isinstance(k_mode, str) and k_mode != "general":
         raise InvalidParamsError(f"unknown selection mode {k_mode!r}")
 
@@ -80,18 +65,19 @@ def run_scaling(sizes, strategy: str = "projection", seeds=(0, 1, 2), k_mode=24,
         else:
             k = int(k_mode)
         clouds = {s: datagen.generate(kind, n, seed=s) for s in seeds}
-        _timed_solve(clouds[seeds[0]], strategy, k, seeds[0])  # warm-up, discarded
+        solve(clouds[seeds[0]], sel=k, seed=seeds[0], strategy=strategy)  # warm-up, discarded
         times = []
         stage_rows = []
         for s in seeds:
-            total, stages = _timed_solve(clouds[s], strategy, k, s)
-            times.append(total)
-            stage_rows.append(stages)
+            t0 = time.perf_counter()
+            report = solve(clouds[s], sel=k, seed=s, strategy=strategy)
+            times.append((time.perf_counter() - t0) * 1000.0)
+            stage_rows.append(report.timings)
         med = float(np.median(times))
         per_size.append(
             {
                 "n": n,
-                "k": None if strategy == "welzl" else k,
+                "k": report.k,
                 "median_ms": med,
                 "times_ms": times,
                 "stage_ms": {

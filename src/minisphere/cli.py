@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import bench, datagen
 from .cloudio import FORMATS, load_points, save_points
@@ -27,9 +26,8 @@ from .errors import (
     UnknownFormatError,
     UnknownKindError,
 )
-from .geom import as_cloud, tolerance_for
-from .projection import SolveReport, solve
-from .welzl import welzl_solve
+from .geom import tolerance_for
+from .projection import solve
 
 _PROG = "minisphere"
 
@@ -83,7 +81,7 @@ def _seed_value(text: str) -> int:
 
 def _k_arg(text: str):
     if text == "auto":
-        return "auto"
+        return None
     try:
         return int(text, 10)
     except ValueError:
@@ -125,30 +123,8 @@ def _emit(doc: dict, out: str | None) -> None:
 def _cmd_solve(args) -> int:
     seed = _resolve_seed(args)
     points = load_points(args.input, fmt=args.format)
-    P = as_cloud(points, allow_empty=True)
-    if len(P) == 0:
-        raise EmptyInputError("no points")
-    tol = tolerance_for(P, eps_rel=args.tol) if args.tol is not None else None
-
-    if args.strategy == "welzl":
-        t0 = time.perf_counter()
-        sphere, support = welzl_solve(P, seed=seed, tol=tol)
-        solve_ms = (time.perf_counter() - t0) * 1000.0
-        report = SolveReport(
-            sphere=sphere,
-            support_indices=support.indices,
-            strategy="welzl",
-            k=None,
-            reduced_size=None,
-            repair_rounds=0,
-            timings={"reduce_ms": 0.0, "solve_ms": solve_ms, "verify_ms": 0.0},
-            input_count=len(P),
-            seed=seed,
-        )
-    else:
-        sel = None if args.k == "auto" else args.k
-        report = solve(P, sel=sel, seed=seed, tol=tol)
-
+    tol = tolerance_for(points, eps_rel=args.tol) if args.tol is not None else None
+    report = solve(points, sel=args.k, seed=seed, tol=tol, strategy=args.strategy)
     _emit({"report_version": 1, **report.to_dict()}, None)
     return 0
 
@@ -189,9 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("input", help="path to a csv, xyz, or json point file")
     p_solve.add_argument("--format", choices=FORMATS, default=None,
                          help="override extension-based format detection")
-    p_solve.add_argument("--strategy", choices=("projection", "welzl", "auto"),
-                         default="auto", help="auto is projection with repair")
-    p_solve.add_argument("--k", type=_k_arg, default="auto",
+    p_solve.add_argument("--strategy", choices=("projection", "welzl"), default="projection",
+                         help="projection: reduce, solve, repair; welzl: solve the full cloud")
+    p_solve.add_argument("--k", type=_k_arg, default=None,
                          help="projection plane count, or 'auto'")
     p_solve.add_argument("--seed", type=_seed_value, default=None,
                          help="shuffle seed (default: $MINISPHERE_SEED or 0)")

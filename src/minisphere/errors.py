@@ -26,7 +26,7 @@ class UnknownKindError(MinisphereError, ValueError):
 
 
 class InvalidParamsError(MinisphereError, ValueError):
-    """Generator or benchmark parameters are out of range."""
+    """Generator, solver or benchmark parameters are out of range."""
 
 
 class InsufficientSamplesError(MinisphereError, ValueError):

@@ -19,6 +19,7 @@ from .errors import (
     DegenerateCoplanar,
     EmptyInputError,
     InvalidGeometryError,
+    InvalidParamsError,
 )
 
 
@@ -65,7 +66,15 @@ def as_cloud(points, allow_empty: bool = False) -> np.ndarray:
 
 
 def tolerance_for(points, eps_rel: float = 1e-9) -> Tolerance:
-    """Tolerance whose scale is the bounding-box diagonal of ``points``."""
+    """Tolerance whose scale is the bounding-box diagonal of ``points``.
+
+    ``eps_rel`` must lie in [0, 1): a negative band lets the solvers return
+    a sphere that misses points, and at 1 or above every triple counts as
+    collinear. Anything else, NaN and infinities included, raises
+    InvalidParamsError.
+    """
+    if not 0.0 <= eps_rel < 1.0:
+        raise InvalidParamsError(f"relative tolerance must lie in [0, 1), got {eps_rel!r}")
     P = as_cloud(points)
     span = P.max(axis=0) - P.min(axis=0)
     return Tolerance(eps_rel, float(math.sqrt(float(span[0]) ** 2 + float(span[1]) ** 2 + float(span[2]) ** 2)))

@@ -9,7 +9,9 @@ vertices, so the union of the picks is a small certificate set. Its
 enclosing sphere is then verified against the full cloud and repaired by
 pivoting (Gaertner 1999): the point farthest outside joins the support,
 until no point is outside. That is ``welzl_solve``'s own loop, run over
-the full cloud from the small set's support.
+the full cloud from the small set's support. ``solve`` is the one entry
+point for the library, the CLI and the bench; ``strategy="welzl"`` makes
+it run ``welzl_solve`` on the full cloud and report that the same way.
 
 All 4K extremes come from one fused kernel: the (4K, 3) direction matrix
 times a column chunk of the cloud, into one reused buffer of about 1 MB,
@@ -61,11 +63,16 @@ class ReducedSet(NamedTuple):
 
 @dataclass
 class SolveReport:
-    """``repair_rounds`` counts the full-cloud pivots after the reduced
+    """What ``solve`` found and where its time went.
+
+    ``repair_rounds`` counts the full-cloud pivots after the reduced
     set's solve; ``fallback_full_solve`` says rounding stalled them and a
     move-to-front Welzl over the full cloud finished. ``timings``:
     ``reduce_ms`` (ingest, tolerance, reduce), ``solve_ms`` (the reduced
-    set's solve), ``verify_ms`` (the full-cloud scans and pivots).
+    set's solve), ``verify_ms`` (the full-cloud scans and pivots). For
+    ``strategy == "welzl"``, ``k`` and ``reduced_size`` are None,
+    ``repair_rounds`` is 0, ``fallback_full_solve`` is False, and
+    ``solve_ms`` holds the whole call, ingest included.
     """
 
     sphere: Sphere
@@ -212,48 +219,61 @@ def select_k(n) -> KSelection:
     return KSelection("general", max(math.ceil(2.0 * n ** 0.25), 6))
 
 
-def solve(points, sel=None, seed: int = 0, tol: Tolerance | None = None) -> SolveReport:
-    """Reduce, solve the reduced set, verify against the full cloud, repair.
+def solve(points, sel=None, seed: int = 0, tol: Tolerance | None = None,
+          strategy: str = "projection") -> SolveReport:
+    """Smallest enclosing sphere of a cloud, by reduction or by the full solve.
 
     Parameters
     ----------
     points : (N, 3) array-like, N >= 1.
-    sel : KSelection, bare plane count, "auto", or None (auto). Auto picks
-        select_k(N). Any other value must be a positive integer count, or
-        InvalidKError is raised, as in ``reduce``.
-    seed : seeds the shuffle of the move-to-front fallback, in both solves.
+    sel : KSelection, bare plane count, or None (auto: select_k(N)). Any
+        other value must be a positive integer count, or InvalidKError is
+        raised, as in ``reduce``. Only the projection strategy reads it.
+    seed : seeds the shuffle of the move-to-front fallback, in every solve.
     tol : optional Tolerance for degeneracy predicates.
+    strategy : "projection" (reduce, solve, verify and repair) or "welzl"
+        (``welzl_solve`` on the full cloud); anything else raises
+        InvalidParamsError.
 
     Returns
     -------
-    SolveReport. The reduced set's sphere is the start of a pivoting over
-    the full cloud: while a point lies outside (beyond a band far tighter
-    than user tolerance), the farthest one joins the support and the ball
-    is rebuilt. Each pivot is a repair round. If rounding stalls the
-    pivoting, a move-to-front Welzl over the full cloud finishes the solve
-    and ``fallback_full_solve`` says so.
+    SolveReport. With "projection", the reduced set's sphere is the start
+    of a pivoting over the full cloud: while a point lies outside (beyond
+    a band far tighter than user tolerance), the farthest one joins the
+    support and the ball is rebuilt. Each pivot is a repair round. If
+    rounding stalls the pivoting, a move-to-front Welzl over the full cloud
+    finishes the solve and ``fallback_full_solve`` says so. With "welzl",
+    ``k`` and ``reduced_size`` are None, ``repair_rounds`` is 0, and the
+    whole call is timed as ``solve_ms``.
     """
+    if strategy not in ("projection", "welzl"):
+        raise InvalidParamsError(f"unknown strategy {strategy!r}")
     t0 = time.perf_counter()
     P = as_cloud(points)
     if tol is None:
         tol = tolerance_for(P)
-    if sel is None or (isinstance(sel, str) and sel == "auto"):
-        sel = select_k(len(P))
-    k = _plane_count(sel)
-
-    rset = reduce(P, k)
-    t1 = time.perf_counter()  # ingestion counts toward the reduce stage
-    _, sup = welzl_solve(P[rset.indices], seed=seed, tol=tol)
-    t2 = time.perf_counter()
-    sphere, support, pivots, stalled = _pivot_solve(P, rset.indices[list(sup.indices)].tolist(), seed, tol)
-    t3 = time.perf_counter()
+    if strategy == "welzl":
+        k = reduced_size = None
+        t1 = t0  # the whole call is the solve stage
+        sphere, support = welzl_solve(P, seed=seed, tol=tol)
+        t2 = t3 = time.perf_counter()
+        pivots, stalled = 0, False
+    else:
+        k = _plane_count(select_k(len(P)) if sel is None else sel)
+        rset = reduce(P, k)
+        reduced_size = int(len(rset.indices))
+        t1 = time.perf_counter()  # ingestion counts toward the reduce stage
+        _, sup = welzl_solve(P[rset.indices], seed=seed, tol=tol)
+        t2 = time.perf_counter()
+        sphere, support, pivots, stalled = _pivot_solve(P, rset.indices[list(sup.indices)].tolist(), seed, tol)
+        t3 = time.perf_counter()
 
     return SolveReport(
         sphere=sphere,
         support_indices=support.indices,
-        strategy="projection",
+        strategy=strategy,
         k=k,
-        reduced_size=int(len(rset.indices)),
+        reduced_size=reduced_size,
         repair_rounds=pivots,
         timings={
             "reduce_ms": (t1 - t0) * 1000.0,

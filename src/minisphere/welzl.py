@@ -7,7 +7,9 @@ that point, with the point pinned, replaces it. Pinned sets hold at most
 four points, so no recursion is open-ended. ``projection.solve``'s repair
 is this loop run over the full cloud from the reduced set's support. If
 rounding stalls the pivoting, a move-to-front Welzl scan over a shuffled
-copy finishes the solve; it also serves ``min_sphere_with_boundary``.
+copy finishes the solve; it also serves ``min_sphere_with_boundary``. It
+keeps one array per coordinate, reordered in place, and looks for the
+first point outside with a chunked vectorized scan.
 Near-co-spherical inputs drive the ball constructors hard, so all
 candidate-sphere math runs on bare floats.
 """
@@ -25,8 +27,6 @@ from .geom import Sphere, Tolerance, _circum3, _circum4, as_cloud, tolerance_for
 
 _CHUNK = 8192
 _SCAN_CHUNK = 262144  # rows per farthest-point scan chunk
-# below this the pure-scalar scan beats vectorized-call overhead
-_SMALL = 3072
 # relative slack on r^2 in violation tests; well below any user tolerance
 _REL_BAND = 1.0 + 4e-13
 _ULP = 2.0 ** -52  # one unit in the last place, relative to a coordinate's magnitude
@@ -48,42 +48,30 @@ class _Ball(NamedTuple):
 class _Ctx:
     """Coordinates in solve order, their input rows and tolerance bands.
 
-    The move-to-front rule reorders this storage in place: flat lists up
-    to _SMALL points, one contiguous array per coordinate above that.
+    One contiguous array per coordinate and one of input rows, which the
+    move-to-front rule reorders in place.
     """
 
-    __slots__ = ("xs", "ys", "zs", "ids", "small", "n", "eps", "abs2")
+    __slots__ = ("xs", "ys", "zs", "ids", "eps", "abs2")
 
     def __init__(self, xs, ys, zs, ids, tol: Tolerance):
         self.xs, self.ys, self.zs, self.ids = xs, ys, zs, ids
-        self.small = isinstance(ids, list)
-        self.n = len(ids)
         self.eps = tol.eps_rel
         self.abs2 = (1e-14 * tol.scale) ** 2
 
     @classmethod
     def of(cls, P: np.ndarray, order: np.ndarray, tol: Tolerance) -> "_Ctx":
-        """Rows ``order`` of P, as lists up to _SMALL points and arrays above."""
-        cols = (P[order, 0], P[order, 1], P[order, 2])
-        if len(order) <= _SMALL:
-            return cls(*(c.tolist() for c in cols), order.tolist(), tol)
-        return cls(*cols, order, tol)
+        """Rows ``order`` of P; ``order`` becomes the ids array."""
+        return cls(P[order, 0], P[order, 1], P[order, 2], order, tol)
 
     def entry(self, row: int):
-        if self.small:
-            return ((self.xs[row], self.ys[row], self.zs[row]), self.ids[row])
         return ((float(self.xs[row]), float(self.ys[row]), float(self.zs[row])), int(self.ids[row]))
 
     def to_front(self, row: int) -> None:
         """Move position ``row`` to position 0, shifting [0, row) up by one."""
         if row == 0:
             return
-        seqs = (self.xs, self.ys, self.zs, self.ids)
-        if self.small:
-            for seq in seqs:
-                seq.insert(0, seq.pop(row))
-            return
-        for seq in seqs:
+        for seq in (self.xs, self.ys, self.zs, self.ids):
             head = seq[row]
             seq[1:row + 1] = seq[:row]
             seq[0] = head
@@ -233,14 +221,6 @@ def _first_outside(ctx: _Ctx, ball: _Ball, start: int, stop: int) -> int:
     cx, cy, cz = ball.c
     thr = _limit(ball, ctx.abs2)
     xs, ys, zs = ctx.xs, ctx.ys, ctx.zs
-    if ctx.small:
-        for i in range(start, stop):
-            dx = xs[i] - cx
-            dy = ys[i] - cy
-            dz = zs[i] - cz
-            if dx * dx + dy * dy + dz * dz > thr:
-                return i
-        return -1
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
         d2 = np.square(xs[lo:hi] - cx)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from minisphere.cli import main
+from minisphere.cloudio import load_points
 from minisphere.datagen import generate
+from minisphere.projection import solve
 
 from conftest import cube_corners, rel_err
 
@@ -49,6 +51,25 @@ def test_solve_welzl_strategy_nulls_projection_fields(capsys, cube_csv):
     assert doc["reduced_size"] is None
     assert doc["repair_rounds"] == 0
     assert rel_err(doc["sphere"]["radius"], math.sqrt(3.0) / 2.0) < 1e-12
+
+
+def test_solve_welzl_strategy_is_the_library_report(capsys, tmp_cloud_file):
+    """``--strategy welzl`` prints ``solve(strategy="welzl")``'s report."""
+    path = tmp_cloud_file(generate("coplanar-disk", 500, seed=1), fmt="xyz")
+    code, out, _ = run_cli(capsys, "solve", str(path), "--strategy", "welzl", "--seed", "4")
+    assert code == 0
+    doc = json.loads(out)
+    lib = solve(load_points(path), seed=4, strategy="welzl").to_dict()
+    del doc["timings"], lib["timings"]
+    assert doc == {"report_version": 1, **lib}
+
+
+@pytest.mark.parametrize("argv", [["--strategy", "auto"], ["--tol", "-1"], ["--tol", "nan"]],
+                         ids=["strategy-auto", "tol-negative", "tol-nan"])
+def test_solve_bad_option_value_exits_2(capsys, cube_csv, argv):
+    code, _, err = run_cli(capsys, "solve", cube_csv, *argv)
+    assert code == 2
+    assert err
 
 
 def test_gen_then_solve(capsys, tmp_path):

@@ -10,6 +10,7 @@ from minisphere.errors import (
     DegenerateCoplanar,
     EmptyInputError,
     InvalidGeometryError,
+    InvalidParamsError,
 )
 from minisphere.geom import (
     Sphere,
@@ -120,6 +121,17 @@ def test_tolerance_for_unit_cube_diagonal():
     tol = tolerance_for(cube_corners())
     assert rel_err(tol.scale, math.sqrt(3.0)) < 1e-15
     assert tol.abs_eps == 1e-9 * max(tol.scale, 1.0)
+
+
+def test_tolerance_for_rejects_eps_outside_unit_interval():
+    """A negative band lets a solve miss points; NaN and infinity make no band."""
+    from conftest import cube_corners
+
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParamsError):
+            tolerance_for(cube_corners(), bad)
+    for good in (0.0, 1e-6):
+        assert tolerance_for(cube_corners(), good).eps_rel == good
 
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)

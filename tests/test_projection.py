@@ -26,7 +26,7 @@ class TestOrientations:
 
     def test_bad_k_rejected(self):
         P = cube_corners()
-        for bad in (0, -3, 2.5, "six"):
+        for bad in (0, -3, 2.5, "six", "auto"):
             with pytest.raises(InvalidKError):
                 reduce(P, bad)
             with pytest.raises(InvalidKError):
@@ -205,6 +205,25 @@ class TestSolve:
         assert d["k"] == select_k(500).k
         assert all(t >= 0.0 for t in d["timings"].values())
         assert sorted(rep.support_indices) == list(rep.support_indices)
+
+    def test_welzl_strategy_is_welzl_solve(self):
+        """strategy="welzl" reports welzl_solve's own sphere and support, bit
+        for bit, whatever ``sel`` says."""
+        for kind in ("uniform-ball", "co-spherical", "coplanar-disk", "collinear"):
+            P = generate(kind, 2000, seed=5)
+            rep = solve(P, sel=3, seed=5, strategy="welzl")
+            ref, sup = welzl_solve(P, seed=5)
+            assert np.array_equal(rep.sphere.center, ref.center), kind
+            assert rep.sphere.radius == ref.radius, kind
+            assert rep.support_indices == sup.indices, kind
+            assert (rep.strategy, rep.k, rep.reduced_size, rep.repair_rounds) == ("welzl", None, None, 0)
+            assert not rep.fallback_full_solve
+            assert rep.timings["reduce_ms"] == rep.timings["verify_ms"] == 0.0
+            assert rep.timings["solve_ms"] > 0.0
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(InvalidParamsError):
+            solve(cube_corners(), strategy="bogo")
 
     def test_matches_full_welzl(self):
         for kind in ("uniform-ball", "co-spherical", "clustered", "near-degenerate"):

@@ -127,11 +127,11 @@ def test_boundary_too_large_rejected():
         min_sphere_with_boundary(np.empty((0, 3)), np.zeros((5, 3)))
 
 
-def test_large_path_matches_small_path():
-    """The chunked scan used above the list-mode cutoff agrees with the small path."""
+def test_pivoting_ball_bounded_by_outermost_points():
+    """Pivoting on 5000 points encloses the cloud, and its ball is no larger
+    than the min ball of the 60 points farthest from the origin."""
     P = generate("uniform-ball", 5000, seed=3)
     big, _ = welzl_solve(P, seed=0)
-    # same cloud, same seed, forced through the other scan by slicing order
     sub = brute_force_ses(P[np.argsort(np.linalg.norm(P, axis=1))[-60:]])
     assert big.radius <= sub.radius * (1 + 1e-9) + 1e-12
     assert max_violation(P, big.center, big.radius) <= 1e-8
@@ -172,13 +172,12 @@ def _move_to_front(P, seed):
     return welzl._min_ball(ctx, len(P), ()), ctx
 
 
-@pytest.mark.parametrize("n", [60, 5000])  # list storage, then array storage
+@pytest.mark.parametrize("n", [60, 5000])
 @pytest.mark.parametrize("kind", ["co-spherical", "coplanar-disk", "collinear", "duplicates"])
 def test_pivoting_and_move_to_front_agree(kind, n):
     P = _family(kind, n)
     got, support = welzl_solve(P, seed=3)
     ball, ctx = _move_to_front(P, 3)
-    assert ctx.small == (n <= welzl._SMALL)
     assert rel_err(got.radius, _OLD_RADII[kind, n]) < 1e-12
     assert rel_err(math.sqrt(ball.r2), got.radius) < 1e-12
     assert max_violation(P, got.center, got.radius) <= 1e-12
@@ -191,23 +190,19 @@ def test_pivoting_and_move_to_front_agree(kind, n):
     assert np.array_equal(np.column_stack([ctx.xs, ctx.ys, ctx.zs]), P[ids])
 
 
-@pytest.mark.parametrize("lists", [True, False])
-def test_flat4_fallback_in_move_to_front(monkeypatch, lists):
+def test_flat4_fallback_in_move_to_front(monkeypatch):
     """Three pinned corners of a right triangle and a free point in their
     plane, outside their circle: no sphere passes through all four, so
     _ball4 falls back to _flat4, whose smallest enclosing candidate is the
-    ball on the segment from the origin to the free point. Both storages."""
+    ball on the segment from the origin to the free point."""
     calls = []
     real = welzl._flat4
     monkeypatch.setattr(welzl, "_flat4", lambda *a: calls.append(1) or real(*a))
-    cols, ids = ([0.2, 3.0], [0.2, 3.0], [0.0, 0.0]), [0, 1]
-    if not lists:
-        cols, ids = tuple(np.array(c) for c in cols), np.array(ids)
-    ctx = welzl._Ctx(*cols, ids, Tolerance(1e-9, 5.0))
+    cols = (np.array([0.2, 3.0]), np.array([0.2, 3.0]), np.array([0.0, 0.0]))
+    ctx = welzl._Ctx(*cols, np.array([0, 1]), Tolerance(1e-9, 5.0))
     boundary = tuple(((x, y, 0.0), -1 - i) for i, (x, y) in enumerate([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
     ball = welzl._min_ball(ctx, 2, boundary)
     assert calls
-    assert ctx.small == lists
     assert rel_err(math.sqrt(ball.r2), 1.5 * math.sqrt(2.0)) < 1e-15
     assert np.allclose(ball.c, (1.5, 1.5, 0.0), rtol=0, atol=1e-15)
     assert np.asarray(ctx.ids).tolist() == [1, 0]  # the free point moved to the front
