@@ -17,7 +17,7 @@ print(f"reduced set   {report.reduced_size} of {report.input_count} points")
 print(f"support       rows {list(report.support_indices)}")
 print(f"repair rounds {report.repair_rounds}")
 t = report.timings
-print(f"stages        reduce {t['reduce_ms']:.2f} ms, "
+print(f"stages        ingest {t['ingest_ms']:.2f} ms, reduce {t['reduce_ms']:.2f} ms, "
       f"solve {t['solve_ms']:.2f} ms, verify {t['verify_ms']:.2f} ms")
 
 # every input point is inside (up to the verification band)

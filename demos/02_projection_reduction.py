@@ -46,6 +46,8 @@ for n, (d, pick) in enumerate(zip(D, red.picks)):
 print("row 8 (the interior center) is never selected:", 8 not in red.indices)
 
 # --- the budget and the automatic plane count ----------------------------
+# a measured constant: four extremes and a few full-cloud pivots were the
+# fastest total over every generator kind from 1e4 to 1e6 points
 print()
 for n in (100, 10_000, 1_000_000):
     sel = select_k(n)

@@ -82,7 +82,7 @@ def run_scaling(sizes, strategy: str = "projection", seeds=(0, 1, 2), k_mode=24,
                 "times_ms": times,
                 "stage_ms": {
                     key: float(np.median([row[key] for row in stage_rows]))
-                    for key in ("reduce_ms", "solve_ms", "verify_ms")
+                    for key in ("ingest_ms", "reduce_ms", "solve_ms", "verify_ms")
                 },
             }
         )

@@ -135,14 +135,6 @@ def brute_force_ses(points, tol: Tolerance | None = None) -> Sphere:
     return Sphere(center.copy(), r)
 
 
-def _better(pick, best):
-    if pick[0] < best[0] * (1.0 - 2.5e-12):
-        return True
-    if pick[0] > best[0] * (1.0 + 2.5e-12):
-        return False
-    return tuple(pick[1]) < tuple(best[1])
-
-
 def _combo_index(n, k):
     """All k-subsets of range(n) as an (C(n,k), k) index array, built
     column-block-wise; Python-level tuple iteration is too slow at C(80,4)."""

@@ -68,11 +68,11 @@ class SolveReport:
     ``repair_rounds`` counts the full-cloud pivots after the reduced
     set's solve; ``fallback_full_solve`` says rounding stalled them and a
     move-to-front Welzl over the full cloud finished. ``timings``:
-    ``reduce_ms`` (ingest, tolerance, reduce), ``solve_ms`` (the reduced
-    set's solve), ``verify_ms`` (the full-cloud scans and pivots). For
-    ``strategy == "welzl"``, ``k`` and ``reduced_size`` are None,
-    ``repair_rounds`` is 0, ``fallback_full_solve`` is False, and
-    ``solve_ms`` holds the whole call, ingest included.
+    ``ingest_ms`` (validation, tolerance), ``reduce_ms``, ``solve_ms``
+    (the reduced set's solve), ``verify_ms`` (the full-cloud scans and
+    pivots). For ``strategy == "welzl"``, ``k`` and ``reduced_size`` are
+    None, ``repair_rounds``, ``reduce_ms`` and ``verify_ms`` are 0, and
+    ``solve_ms`` is ``welzl_solve`` on the full cloud.
     """
 
     sphere: Sphere
@@ -134,21 +134,20 @@ def _extremes(P: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Row of P extreme along each row of D.
 
     One pass over P in column chunks: ``D @ chunk.T`` lands in a reused
-    (m, c) buffer of about 1 MB and ``argmax`` runs along its rows. Only a
-    strictly larger value replaces a direction's running best, and an equal
-    value in a later chunk flags the direction as tied. A tie inside the
-    chunk that holds a direction's best is looked for once, at the end: that
-    chunk's row is recomputed into the same buffer, its maximum knocked out,
-    and the row's new maximum compared with the old. Only flagged directions
-    take the lexicographic slow path (``_lex_max``).
+    (m, c) buffer of ``_BLOCK_ELEMS`` doubles and ``argmax`` runs along its
+    rows. Only a strictly larger value replaces a direction's running best,
+    and an equal value in a later chunk flags the direction as tied. Where
+    a chunk sets a new best, its maximum is knocked out of the buffer and
+    the row's new maximum compared with it, which flags a tie inside the
+    chunk. Only flagged directions take the lexicographic slow path
+    (``_lex_max``).
     """
     n, m = len(P), len(D)
     c = min(n, max(1, _BLOCK_ELEMS // m))
-    buf = np.empty(m * c)  # reused: a fresh block per matmul costs page faults
+    buf = np.empty(max(m, _BLOCK_ELEMS))  # reused by every chunk; one size for every call
     rows = np.arange(m)
     best = np.full(m, -np.inf)
     out = np.zeros(m, dtype=np.intp)
-    win = np.zeros(m, dtype=np.intp)  # start of the chunk holding each best
     tied = np.zeros(m, dtype=bool)
     for lo in range(0, n, c):
         Q = P[lo:lo + c]
@@ -160,18 +159,8 @@ def _extremes(P: np.ndarray, D: np.ndarray) -> np.ndarray:
         if up.size:
             best[up] = v[up]
             out[up] = j[up] + lo
-            win[up] = lo
-            tied[up] = False
-    for lo in np.unique(win):
-        rs = np.flatnonzero((win == lo) & ~tied)
-        if rs.size:
-            Q = P[lo:lo + c]
-            S = np.matmul(D[rs], Q.T, out=buf[:rs.size * len(Q)].reshape(rs.size, len(Q)))
-            i = np.arange(rs.size)
-            j = S.argmax(axis=1)
-            top = S[i, j]
-            S[i, j] = -np.inf
-            tied[rs] = S.max(axis=1) == top
+            S[up, j[up]] = -np.inf
+            tied[up] = (S if up.size == m else S[up]).max(axis=1) == v[up]
     for r in np.flatnonzero(tied):
         out[r] = _lex_max(P, D[r])
     return out
@@ -208,15 +197,15 @@ def reduce(points, sel) -> ReducedSet:
 
 
 def select_k(n) -> KSelection:
-    """Plane-count heuristic: k = max(6, ceil(2 * n^(1/4))).
+    """The automatic plane count: k = 1 (four directions) at every n >= 1.
 
-    For n > 25, k is at most ceil(sqrt(n)), so the reduced set of at most
-    4k points stays below 4 * ceil(sqrt(n)).
+    A measured constant: over k in {1, 2, 3, 4, 6, 12}, every ``datagen``
+    kind and n in {1e4, 1e5, 1e6}, k = 1 had the least total solve time.
     """
     n = operator.index(n)
     if n < 1:
         raise InvalidParamsError(f"point count must be at least 1, got {n}")
-    return KSelection("general", max(math.ceil(2.0 * n ** 0.25), 6))
+    return KSelection("general", 1)
 
 
 def solve(points, sel=None, seed: int = 0, tol: Tolerance | None = None,
@@ -243,8 +232,8 @@ def solve(points, sel=None, seed: int = 0, tol: Tolerance | None = None,
     support and the ball is rebuilt. Each pivot is a repair round. If
     rounding stalls the pivoting, a move-to-front Welzl over the full cloud
     finishes the solve and ``fallback_full_solve`` says so. With "welzl",
-    ``k`` and ``reduced_size`` are None, ``repair_rounds`` is 0, and the
-    whole call is timed as ``solve_ms``.
+    ``k`` and ``reduced_size`` are None, ``repair_rounds`` is 0, and
+    everything after ingest is timed as ``solve_ms``.
     """
     if strategy not in ("projection", "welzl"):
         raise InvalidParamsError(f"unknown strategy {strategy!r}")
@@ -252,9 +241,10 @@ def solve(points, sel=None, seed: int = 0, tol: Tolerance | None = None,
     P = as_cloud(points)
     if tol is None:
         tol = tolerance_for(P)
+    t_in = time.perf_counter()
     if strategy == "welzl":
         k = reduced_size = None
-        t1 = t0  # the whole call is the solve stage
+        t1 = t_in  # no reduce stage
         sphere, support = welzl_solve(P, seed=seed, tol=tol)
         t2 = t3 = time.perf_counter()
         pivots, stalled = 0, False
@@ -262,7 +252,7 @@ def solve(points, sel=None, seed: int = 0, tol: Tolerance | None = None,
         k = _plane_count(select_k(len(P)) if sel is None else sel)
         rset = reduce(P, k)
         reduced_size = int(len(rset.indices))
-        t1 = time.perf_counter()  # ingestion counts toward the reduce stage
+        t1 = time.perf_counter()
         _, sup = welzl_solve(P[rset.indices], seed=seed, tol=tol)
         t2 = time.perf_counter()
         sphere, support, pivots, stalled = _pivot_solve(P, rset.indices[list(sup.indices)].tolist(), seed, tol)
@@ -276,7 +266,8 @@ def solve(points, sel=None, seed: int = 0, tol: Tolerance | None = None,
         reduced_size=reduced_size,
         repair_rounds=pivots,
         timings={
-            "reduce_ms": (t1 - t0) * 1000.0,
+            "ingest_ms": (t_in - t0) * 1000.0,
+            "reduce_ms": (t1 - t_in) * 1000.0,
             "solve_ms": (t2 - t1) * 1000.0,
             "verify_ms": (t3 - t2) * 1000.0,
         },

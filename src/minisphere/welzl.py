@@ -26,7 +26,7 @@ from .errors import DegenerateCollinear, DegenerateCoplanar, EmptyInputError, In
 from .geom import Sphere, Tolerance, _circum3, _circum4, as_cloud, tolerance_for
 
 _CHUNK = 8192
-_SCAN_CHUNK = 262144  # rows per farthest-point scan chunk
+_SCAN_CHUNK = 32768  # rows per farthest-point scan chunk: two 256 kB buffers
 # relative slack on r^2 in violation tests; well below any user tolerance
 _REL_BAND = 1.0 + 4e-13
 _ULP = 2.0 ** -52  # one unit in the last place, relative to a coordinate's magnitude
@@ -233,18 +233,24 @@ def _first_outside(ctx: _Ctx, ball: _Ball, start: int, stop: int) -> int:
 
 
 def _farthest_outside(P: np.ndarray, ball: _Ball, abs2: float) -> int:
-    """Row of P farthest from the ball's centre if it lies outside, else -1."""
+    """Row of P farthest from the ball's centre if it lies outside, else -1.
+
+    The first of equally far rows wins. Strided columns are scanned into
+    two reused chunk buffers: no temporaries, no transposed copy of P.
+    """
     cx, cy, cz = ball.c
     far = _limit(ball, abs2)
     j = -1
+    d2, t = np.empty((2, min(len(P), _SCAN_CHUNK)))
     for lo in range(0, len(P), _SCAN_CHUNK):
         Q = P[lo:lo + _SCAN_CHUNK]
-        d2 = np.square(Q[:, 0] - cx)
-        d2 += np.square(Q[:, 1] - cy)
-        d2 += np.square(Q[:, 2] - cz)
-        i = int(d2.argmax())
-        if d2[i] > far:
-            far, j = float(d2[i]), lo + i
+        d, s = d2[:len(Q)], t[:len(Q)]
+        np.square(np.subtract(Q[:, 0], cx, out=d), out=d)
+        d += np.square(np.subtract(Q[:, 1], cy, out=s), out=s)
+        d += np.square(np.subtract(Q[:, 2], cz, out=s), out=s)
+        i = int(d.argmax())
+        if d[i] > far:
+            far, j = float(d[i]), lo + i
     return j
 
 

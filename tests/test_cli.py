@@ -39,7 +39,7 @@ def test_solve_cube(capsys, cube_csv):
     assert doc["seed"] == 42
     assert doc["fallback_full_solve"] is False
     assert isinstance(doc["support_indices"], list)
-    assert set(doc["timings"]) == {"reduce_ms", "solve_ms", "verify_ms"}
+    assert set(doc["timings"]) == {"ingest_ms", "reduce_ms", "solve_ms", "verify_ms"}
 
 
 def test_solve_welzl_strategy_nulls_projection_fields(capsys, cube_csv):

@@ -123,6 +123,30 @@ def test_tolerance_for_unit_cube_diagonal():
     assert tol.abs_eps == 1e-9 * max(tol.scale, 1.0)
 
 
+def test_tolerance_for_scale_is_the_axis0_box_diagonal():
+    """The column-by-column box gives the axis-0 formula's scale bit for bit."""
+    from minisphere.datagen import generate, kinds
+
+    for i, kind in enumerate(kinds()):
+        for P in (generate(kind, 5000, seed=i), generate(kind, 5000, seed=i) * 1e-7 + 1e6):
+            span = P.max(axis=0) - P.min(axis=0)
+            want = float(math.sqrt(float(span[0]) ** 2 + float(span[1]) ** 2 + float(span[2]) ** 2))
+            assert tolerance_for(P).scale == want, kind
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("col", [0, 1, 2])
+def test_tolerance_for_rejects_non_finite_coordinates(bad, col):
+    """The box's max and min double as the finiteness check, in every column."""
+    P = np.zeros((10, 3))
+    P[:, 1] = 1.0
+    P[7, col] = bad
+    with pytest.raises(InvalidGeometryError):
+        tolerance_for(P)
+    with pytest.raises(InvalidGeometryError):
+        tolerance_for(P[::-1])
+
+
 def test_tolerance_for_rejects_eps_outside_unit_interval():
     """A negative band lets a solve miss points; NaN and infinity make no band."""
     from conftest import cube_corners

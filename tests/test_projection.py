@@ -160,12 +160,12 @@ def test_reduce_keeps_extremes_of_rotated_cloud():
 
 class TestSelectK:
     def test_frozen_table(self):
-        # (n, expected k) pinned from the formula max(6, ceil(2 * n^(1/4)))
-        assert select_k(16).k == 6
-        assert select_k(10_000).k == 20
-        assert select_k(1_000_000).k == 64
-        assert select_k(1).k == 6
-        assert select_k(30).k == 6
+        # the measured constant: k = 1 at every size
+        assert select_k(16).k == 1
+        assert select_k(10_000).k == 1
+        assert select_k(1_000_000).k == 1
+        assert select_k(1).k == 1
+        assert select_k(30).k == 1
 
     def test_validation(self):
         with pytest.raises(InvalidParamsError):
@@ -175,7 +175,7 @@ class TestSelectK:
         prev = 0
         for n in (1, 10, 100, 1000, 10_000, 100_000, 1_000_000):
             k = select_k(n).k
-            assert k >= 6
+            assert k == 1
             assert k >= prev
             prev = k
 
@@ -183,7 +183,7 @@ class TestSelectK:
 class TestSolve:
     def test_cube_plus_center(self):
         P = np.vstack([cube_corners(), [[0.5, 0.5, 0.5]]])
-        rep = solve(P, seed=0)
+        rep = solve(P, sel=6, seed=0)  # 24 directions pick all 8 corners
         assert rel_err(rep.sphere.radius, math.sqrt(3.0) / 2.0) < 1e-12
         assert np.allclose(rep.sphere.center, [0.5, 0.5, 0.5], atol=1e-12)
         assert rep.strategy == "projection"
@@ -199,7 +199,7 @@ class TestSolve:
             "sphere", "support_indices", "strategy", "k", "reduced_size",
             "repair_rounds", "timings", "input_count", "seed", "fallback_full_solve",
         }
-        assert set(d["timings"]) == {"reduce_ms", "solve_ms", "verify_ms"}
+        assert set(d["timings"]) == {"ingest_ms", "reduce_ms", "solve_ms", "verify_ms"}
         assert set(d["sphere"]) == {"center", "radius"}
         assert d["strategy"] == "projection"
         assert d["k"] == select_k(500).k
@@ -274,8 +274,8 @@ class TestSolve:
 def test_noisy_shell_repair_is_bounded(monkeypatch):
     """Worst case for repair: a 2e5-point shell with 1e-7 radial noise, on
     which nearly every point is a hull vertex. The small solve sees only the
-    reduced set (at most 4k rows), and the repair takes 8, 7 and 6
-    full-cloud pivots at k = 1, 6 and auto (43)."""
+    reduced set (at most 4k rows), and the repair takes 8 and 7 full-cloud
+    pivots at k = 1 (also the automatic choice) and 6."""
     P = noisy_shell(200_000)
     full, _ = welzl_solve(P, seed=0)
     sizes = []

@@ -255,3 +255,37 @@ def test_solve_falls_back_when_pivoting_stalls(monkeypatch):
     assert max_violation(P, rep.sphere.center, rep.sphere.radius) <= 1e-12
     for i in rep.support_indices:
         assert abs(np.linalg.norm(P[i] - rep.sphere.center) - rep.sphere.radius) < 1e-12
+
+
+def _farthest_reference(P, ball, abs2):
+    """Plain full-array argmax in the scan's arithmetic order, against ``_limit``."""
+    cx, cy, cz = ball.c
+    d2 = (P[:, 0] - cx) ** 2 + (P[:, 1] - cy) ** 2 + (P[:, 2] - cz) ** 2
+    j = int(d2.argmax())
+    return j if d2[j] > welzl._limit(ball, abs2) else -1
+
+
+@pytest.mark.parametrize("n", [1, 1000, welzl._SCAN_CHUNK, welzl._SCAN_CHUNK + 1, 2 * welzl._SCAN_CHUNK + 777])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_farthest_outside_matches_full_argmax(n, offset):
+    """The chunked scan picks the row a full-array argmax picks, for clouds
+    below, at and above one chunk, and moved far from the origin."""
+    P = generate("uniform-ball", n, seed=n % 97) + offset
+    abs2 = (1e-14 * tolerance_for(P).scale) ** 2
+    for c, r2 in (((0.0, 0.0, 0.0), 0.25), ((0.1, -0.2, 0.05), 0.5), ((0.0, 0.0, 0.0), 4.0)):
+        ball = welzl._Ball(tuple(x + offset for x in c), r2, ())
+        assert welzl._farthest_outside(P, ball, abs2) == _farthest_reference(P, ball, abs2), (n, c, r2)
+
+
+def test_farthest_outside_tie_across_chunks_takes_first_row():
+    """Two equally far rows on either side of a chunk boundary: the first wins,
+    as in a full-array argmax."""
+    c = welzl._SCAN_CHUNK
+    P = generate("uniform-ball", 2 * c + 5, seed=4) * 0.5
+    P[c - 1] = (3.0, 0.0, 0.0)
+    P[c] = (0.0, -3.0, 0.0)
+    P[c + 2] = (0.0, 0.0, 3.0)
+    ball = welzl._Ball((0.0, 0.0, 0.0), 1.0, ())
+    assert welzl._farthest_outside(P, ball, 0.0) == c - 1 == _farthest_reference(P, ball, 0.0)
+    P[c - 1] = (2.0, 0.0, 0.0)
+    assert welzl._farthest_outside(P, ball, 0.0) == c == _farthest_reference(P, ball, 0.0)
