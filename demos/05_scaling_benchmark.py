@@ -18,7 +18,7 @@ from minisphere.bench import run_scaling
 full = "--full" in sys.argv
 sizes = [10_000, 30_000, 100_000, 300_000, 1_000_000] if full else [2_000, 8_000, 32_000, 128_000]
 
-rep = run_scaling(sizes, strategy="projection", seeds=(0, 1, 2), k_mode="general")
+rep = run_scaling(sizes, strategy="projection", seeds=(0, 1, 2), k_mode=None)
 base = run_scaling(sizes, strategy="welzl", seeds=(0, 1, 2))
 
 print(f"{'n':>10s} {'k':>4s} {'median':>10s} {'ingest':>9s} {'reduce':>9s} {'solve':>9s} {'verify':>9s} "

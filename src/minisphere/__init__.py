@@ -30,7 +30,7 @@ from .projection import (
     select_k,
     solve,
 )
-from .welzl import SupportSet, min_sphere_with_boundary, welzl_solve
+from .welzl import SupportSet, welzl_solve
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "sphere_from_three",
     "sphere_from_four",
     "welzl_solve",
-    "min_sphere_with_boundary",
     "SupportSet",
     "KSelection",
     "ReducedSet",

@@ -16,7 +16,7 @@ import numpy as np
 from . import datagen, oracle
 from .errors import InsufficientSamplesError, InvalidParamsError, TooLargeError
 from .projection import reduce as reduce_points
-from .projection import select_k, solve
+from .projection import solve
 
 _COVERAGE_N = 40  # hull-vertex oracle budget for coverage measurement
 _CONVERGENCE_N = 400
@@ -39,8 +39,8 @@ def run_scaling(sizes, strategy: str = "projection", seeds=(0, 1, 2), k_mode=24,
     strategy : ``solve``'s strategy, "projection" (reduce + repair) or
         "welzl" (full cloud); ``solve`` rejects any other.
     seeds : at least 3 seeds; the per-size time is the median over seeds.
-    k_mode : fixed plane count (int), or "general" to let select_k pick
-        per size.
+    k_mode : ``solve``'s ``sel``: a fixed plane count, or None to let
+        select_k pick per size. ``solve`` rejects any other value.
     kind : generator for the test clouds.
 
     A warm-up solve per size is discarded before timing.
@@ -55,22 +55,16 @@ def run_scaling(sizes, strategy: str = "projection", seeds=(0, 1, 2), k_mode=24,
         raise InsufficientSamplesError("sizes below 1000 are dominated by constant overhead")
     if len(seeds) < 3:
         raise InsufficientSamplesError("need at least 3 seeds for a stable median")
-    if isinstance(k_mode, str) and k_mode != "general":
-        raise InvalidParamsError(f"unknown selection mode {k_mode!r}")
 
     per_size = []
     for n in sizes:
-        if isinstance(k_mode, str):
-            k = select_k(n).k
-        else:
-            k = int(k_mode)
         clouds = {s: datagen.generate(kind, n, seed=s) for s in seeds}
-        solve(clouds[seeds[0]], sel=k, seed=seeds[0], strategy=strategy)  # warm-up, discarded
+        solve(clouds[seeds[0]], sel=k_mode, seed=seeds[0], strategy=strategy)  # warm-up, discarded
         times = []
         stage_rows = []
         for s in seeds:
             t0 = time.perf_counter()
-            report = solve(clouds[s], sel=k, seed=s, strategy=strategy)
+            report = solve(clouds[s], sel=k_mode, seed=s, strategy=strategy)
             times.append((time.perf_counter() - t0) * 1000.0)
             stage_rows.append(report.timings)
         med = float(np.median(times))

@@ -26,7 +26,6 @@ from .errors import (
     UnknownFormatError,
     UnknownKindError,
 )
-from .geom import tolerance_for
 from .projection import solve
 
 _PROG = "minisphere"
@@ -88,17 +87,6 @@ def _k_arg(text: str):
         raise argparse.ArgumentTypeError(f"--k takes an integer or 'auto', got {text!r}") from None
 
 
-def _k_mode_arg(text: str):
-    if text == "general":
-        return text
-    try:
-        return int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--k takes an integer or 'general', got {text!r}"
-        ) from None
-
-
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -123,8 +111,7 @@ def _emit(doc: dict, out: str | None) -> None:
 def _cmd_solve(args) -> int:
     seed = _resolve_seed(args)
     points = load_points(args.input, fmt=args.format)
-    tol = tolerance_for(points, eps_rel=args.tol) if args.tol is not None else None
-    report = solve(points, sel=args.k, seed=seed, tol=tol, strategy=args.strategy)
+    report = solve(points, sel=args.k, seed=seed, strategy=args.strategy)
     _emit({"report_version": 1, **report.to_dict()}, None)
     return 0
 
@@ -171,8 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="projection plane count, or 'auto'")
     p_solve.add_argument("--seed", type=_seed_value, default=None,
                          help="shuffle seed (default: $MINISPHERE_SEED or 0)")
-    p_solve.add_argument("--tol", type=float, default=None,
-                         help="relative tolerance for degeneracy predicates")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate a seeded point cloud file")
@@ -191,8 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma list of counts, e.g. 1e4,1e5,1e6")
     p_scal.add_argument("--seeds", type=_int_list, default=[0, 1, 2],
                         help="comma list or a..b range, at least 3")
-    p_scal.add_argument("--k", type=_k_mode_arg, default=24,
-                        help="fixed plane count, or 'general' for select_k")
+    p_scal.add_argument("--k", type=_k_arg, default=24,
+                        help="fixed plane count, or 'auto' for select_k")
     p_scal.add_argument("--strategy", choices=("projection", "welzl"), default="projection")
     p_scal.add_argument("--kind", choices=datagen.kinds(), default="uniform-ball")
     p_scal.add_argument("--out", default=None, help="write the report here instead of stdout")

@@ -19,7 +19,6 @@ from .errors import (
     DegenerateCoplanar,
     EmptyInputError,
     InvalidGeometryError,
-    InvalidParamsError,
 )
 
 
@@ -47,6 +46,7 @@ class Tolerance(NamedTuple):
 
 
 _DEFAULT_TOL = Tolerance()
+_CHECK_ROWS = 32768  # rows per finiteness-check chunk: one reused 96 kB mask
 
 
 def _as_array(points, allow_empty: bool) -> np.ndarray:
@@ -62,33 +62,34 @@ def _as_array(points, allow_empty: bool) -> np.ndarray:
 
 
 def as_cloud(points, allow_empty: bool = False) -> np.ndarray:
-    """Validate and normalize a point cloud to a C-contiguous (N, 3) float64 array."""
+    """Validate and normalize a point cloud to a C-contiguous (N, 3) float64 array.
+
+    The finiteness check runs over row chunks into one reused mask, so it
+    allocates no (N, 3) temporary.
+    """
     P = _as_array(points, allow_empty)
-    if not np.isfinite(P).all():
-        raise InvalidGeometryError("point cloud contains non-finite coordinates")
+    mask = np.empty((min(len(P), _CHECK_ROWS), 3), dtype=bool)
+    for lo in range(0, len(P), _CHECK_ROWS):
+        Q = P[lo:lo + _CHECK_ROWS]
+        if not np.isfinite(Q, out=mask[:len(Q)]).all():
+            raise InvalidGeometryError("point cloud contains non-finite coordinates")
     return np.ascontiguousarray(P)
 
 
-def tolerance_for(points, eps_rel: float = 1e-9) -> Tolerance:
+def tolerance_for(points) -> Tolerance:
     """Tolerance whose scale is the bounding-box diagonal of ``points``.
 
-    ``eps_rel`` must lie in [0, 1): a negative band lets the solvers return
-    a sphere that misses points, and at 1 or above every triple counts as
-    collinear. Anything else, NaN and infinities included, raises
-    InvalidParamsError.
-
-    The box is taken column by column, ~10x faster than axis-0 max/min on a
-    row-major (N, 3) array. Max and min propagate NaN and infinities, so
-    they double as the finiteness check.
+    The relative epsilon is ``Tolerance``'s default. The box is taken
+    column by column, ~10x faster than axis-0 max/min on a row-major
+    (N, 3) array. Max and min propagate NaN and infinities, so they double
+    as the finiteness check.
     """
-    if not 0.0 <= eps_rel < 1.0:
-        raise InvalidParamsError(f"relative tolerance must lie in [0, 1), got {eps_rel!r}")
     P = _as_array(points, allow_empty=False)
     hi = [float(P[:, i].max()) for i in range(3)]
     lo = [float(P[:, i].min()) for i in range(3)]
     if not all(map(math.isfinite, hi + lo)):
         raise InvalidGeometryError("point cloud contains non-finite coordinates")
-    return Tolerance(eps_rel, math.sqrt(sum((h - l) ** 2 for h, l in zip(hi, lo))))
+    return Tolerance(scale=math.sqrt(sum((h - l) ** 2 for h, l in zip(hi, lo))))
 
 
 def _p3(p) -> tuple[float, float, float]:

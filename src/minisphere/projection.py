@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidKError, InvalidParamsError
-from .geom import Sphere, Tolerance, as_cloud, tolerance_for
+from .geom import Sphere, as_cloud, tolerance_for
 from .welzl import _pivot_solve, welzl_solve
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -71,8 +71,9 @@ class SolveReport:
     ``ingest_ms`` (validation, tolerance), ``reduce_ms``, ``solve_ms``
     (the reduced set's solve), ``verify_ms`` (the full-cloud scans and
     pivots). For ``strategy == "welzl"``, ``k`` and ``reduced_size`` are
-    None, ``repair_rounds``, ``reduce_ms`` and ``verify_ms`` are 0, and
-    ``solve_ms`` is ``welzl_solve`` on the full cloud.
+    None, ``repair_rounds``, ``reduce_ms`` and ``verify_ms`` are 0,
+    ``ingest_ms`` is validation only, and ``solve_ms`` is ``welzl_solve``
+    on the full cloud, its tolerance included.
     """
 
     sphere: Sphere
@@ -208,8 +209,7 @@ def select_k(n) -> KSelection:
     return KSelection("general", 1)
 
 
-def solve(points, sel=None, seed: int = 0, tol: Tolerance | None = None,
-          strategy: str = "projection") -> SolveReport:
+def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> SolveReport:
     """Smallest enclosing sphere of a cloud, by reduction or by the full solve.
 
     Parameters
@@ -219,7 +219,6 @@ def solve(points, sel=None, seed: int = 0, tol: Tolerance | None = None,
         other value must be a positive integer count, or InvalidKError is
         raised, as in ``reduce``. Only the projection strategy reads it.
     seed : seeds the shuffle of the move-to-front fallback, in every solve.
-    tol : optional Tolerance for degeneracy predicates.
     strategy : "projection" (reduce, solve, verify and repair) or "welzl"
         (``welzl_solve`` on the full cloud); anything else raises
         InvalidParamsError.
@@ -228,32 +227,34 @@ def solve(points, sel=None, seed: int = 0, tol: Tolerance | None = None,
     -------
     SolveReport. With "projection", the reduced set's sphere is the start
     of a pivoting over the full cloud: while a point lies outside (beyond
-    a band far tighter than user tolerance), the farthest one joins the
-    support and the ball is rebuilt. Each pivot is a repair round. If
-    rounding stalls the pivoting, a move-to-front Welzl over the full cloud
-    finishes the solve and ``fallback_full_solve`` says so. With "welzl",
+    a band of rounding size), the farthest one joins the support and the
+    ball is rebuilt. Each pivot is a repair round. If rounding stalls the
+    pivoting, a move-to-front Welzl over the full cloud finishes the solve
+    and ``fallback_full_solve`` says so. With "welzl",
     ``k`` and ``reduced_size`` are None, ``repair_rounds`` is 0, and
     everything after ingest is timed as ``solve_ms``.
+
+    There is no tolerance argument: the full cloud and the reduced set
+    each get the bands of ``tolerance_for``, relative to their own scale.
     """
     if strategy not in ("projection", "welzl"):
         raise InvalidParamsError(f"unknown strategy {strategy!r}")
     t0 = time.perf_counter()
     P = as_cloud(points)
-    if tol is None:
-        tol = tolerance_for(P)
-    t_in = time.perf_counter()
     if strategy == "welzl":
         k = reduced_size = None
-        t1 = t_in  # no reduce stage
-        sphere, support = welzl_solve(P, seed=seed, tol=tol)
+        t_in = t1 = time.perf_counter()  # no reduce stage; welzl_solve scales its own tolerance
+        sphere, support = welzl_solve(P, seed=seed)
         t2 = t3 = time.perf_counter()
         pivots, stalled = 0, False
     else:
+        tol = tolerance_for(P)
+        t_in = time.perf_counter()
         k = _plane_count(select_k(len(P)) if sel is None else sel)
         rset = reduce(P, k)
         reduced_size = int(len(rset.indices))
         t1 = time.perf_counter()
-        _, sup = welzl_solve(P[rset.indices], seed=seed, tol=tol)
+        _, sup = welzl_solve(P[rset.indices], seed=seed)
         t2 = time.perf_counter()
         sphere, support, pivots, stalled = _pivot_solve(P, rset.indices[list(sup.indices)].tolist(), seed, tol)
         t3 = time.perf_counter()

@@ -7,9 +7,9 @@ that point, with the point pinned, replaces it. Pinned sets hold at most
 four points, so no recursion is open-ended. ``projection.solve``'s repair
 is this loop run over the full cloud from the reduced set's support. If
 rounding stalls the pivoting, a move-to-front Welzl scan over a shuffled
-copy finishes the solve; it also serves ``min_sphere_with_boundary``. It
-keeps one array per coordinate, reordered in place, and looks for the
-first point outside with a chunked vectorized scan.
+copy finishes the solve. It keeps one array per coordinate, reordered in
+place, and looks for the first point outside with a chunked vectorized
+scan.
 Near-co-spherical inputs drive the ball constructors hard, so all
 candidate-sphere math runs on bare floats.
 """
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateCollinear, DegenerateCoplanar, EmptyInputError, InvalidGeometryError
+from .errors import DegenerateCollinear, DegenerateCoplanar, EmptyInputError
 from .geom import Sphere, Tolerance, _circum3, _circum4, as_cloud, tolerance_for
 
 _CHUNK = 8192
@@ -77,7 +77,7 @@ class _Ctx:
             seq[0] = head
 
 
-def welzl_solve(points, seed: int = 0, tol: Tolerance | None = None) -> tuple[Sphere, SupportSet]:
+def welzl_solve(points, seed: int = 0) -> tuple[Sphere, SupportSet]:
     """Smallest enclosing sphere of a 3D point cloud.
 
     Parameters
@@ -85,21 +85,21 @@ def welzl_solve(points, seed: int = 0, tol: Tolerance | None = None) -> tuple[Sp
     points : (N, 3) array-like, N >= 1.
     seed : int, seeds the shuffle of the move-to-front fallback, which
         runs only if rounding stalls the pivoting.
-    tol : optional Tolerance; defaults to one scaled to the cloud.
 
     Returns
     -------
     (Sphere, SupportSet) where the support holds 1 to 4 input indices
     (sorted, deduplicated) of points on the sphere boundary.
 
+    Every band is ``tolerance_for(points)``, relative to the cloud's own
+    scale; there is nothing to tune.
+
     The pivoting starts from the exact min ball of the first (up to four)
     rows, so a caller that knows the final support can warm-start the
     solve by passing those rows first: then no pivot is needed.
     """
     P = as_cloud(points)
-    if tol is None:
-        tol = tolerance_for(P)
-    return _pivot_solve(P, range(min(len(P), 4)), seed, tol)[:2]
+    return _pivot_solve(P, range(min(len(P), 4)), seed, tolerance_for(P))[:2]
 
 
 def _pivot_solve(P: np.ndarray, start, seed: int, tol: Tolerance) -> tuple[Sphere, SupportSet, int, bool]:
@@ -118,31 +118,6 @@ def _pivot_solve(P: np.ndarray, start, seed: int, tol: Tolerance) -> tuple[Spher
     support = SupportSet(tuple(rows), P[rows].copy())
     sphere = Sphere(np.array(ball.c, dtype=np.float64), math.sqrt(max(ball.r2, 0.0)))
     return sphere, support, pivots, stalled
-
-
-def min_sphere_with_boundary(points, boundary, tol: Tolerance | None = None) -> Sphere:
-    """Smallest sphere enclosing ``points`` with every ``boundary`` point on it.
-
-    ``boundary`` holds 0 to 4 points; with 4 the sphere is fully determined
-    and ``points`` is ignored. ``points`` may be empty when the boundary is
-    not. No shuffle is applied: callers pass pre-screened small inputs.
-    """
-    B = as_cloud(boundary, allow_empty=True)
-    if len(B) > 4:
-        raise InvalidGeometryError(f"a sphere boundary takes at most 4 points, got {len(B)}")
-    P = as_cloud(points, allow_empty=True)
-    if len(P) == 0 and len(B) == 0:
-        raise EmptyInputError("no points and no boundary")
-    if tol is None:
-        tol = tolerance_for(np.concatenate([P, B], axis=0))
-    ext = tuple(((float(p[0]), float(p[1]), float(p[2])), -1 - i) for i, p in enumerate(B))
-    if len(ext) == 4:
-        ball = _ball4(ext, tol.eps_rel)
-    elif len(P) == 0:
-        ball = _boundary_ball(ext, tol.eps_rel)
-    else:
-        ball = _min_ball(_Ctx.of(P, np.arange(len(P)), tol), len(P), ext)
-    return Sphere(np.array(ball.c, dtype=np.float64), math.sqrt(max(ball.r2, 0.0)))
 
 
 def _pivot_ball(P: np.ndarray, start, tol: Tolerance) -> tuple[_Ball | None, int]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from minisphere.bench import run_convergence, run_scaling
-from minisphere.errors import InsufficientSamplesError, InvalidParamsError, TooLargeError
+from minisphere.errors import InsufficientSamplesError, InvalidKError, InvalidParamsError, TooLargeError
 
 
 def test_scaling_validation():
@@ -16,6 +16,8 @@ def test_scaling_validation():
         run_scaling([1000, 2000], seeds=(0, 1))  # three seeds minimum
     with pytest.raises(InvalidParamsError):
         run_scaling([1000, 2000], strategy="bogo")
+    with pytest.raises(InvalidKError):
+        run_scaling([1000, 2000], k_mode="general")  # None asks for select_k
 
 
 def test_scaling_report_structure():
@@ -43,7 +45,8 @@ def test_scaling_stage_medians_account_for_total():
 
 
 def test_scaling_auto_k_mode():
-    rep = run_scaling([1000, 2000], seeds=(0, 1, 2), k_mode="general")
+    rep = run_scaling([1000, 2000], seeds=(0, 1, 2), k_mode=None)
+    assert rep["k_mode"] is None
     ks = [row["k"] for row in rep["per_size"]]
     assert ks == [1, 1]
 

@@ -64,8 +64,8 @@ def test_solve_welzl_strategy_is_the_library_report(capsys, tmp_cloud_file):
     assert doc == {"report_version": 1, **lib}
 
 
-@pytest.mark.parametrize("argv", [["--strategy", "auto"], ["--tol", "-1"], ["--tol", "nan"]],
-                         ids=["strategy-auto", "tol-negative", "tol-nan"])
+@pytest.mark.parametrize("argv", [["--strategy", "auto"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "0.9"]],
+                         ids=["strategy-auto", "tol-negative", "tol-nan", "tol-removed"])
 def test_solve_bad_option_value_exits_2(capsys, cube_csv, argv):
     code, _, err = run_cli(capsys, "solve", cube_csv, *argv)
     assert code == 2

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from minisphere import geom
 from minisphere.errors import (
     DegenerateCollinear,
     DegenerateCoplanar,
     EmptyInputError,
     InvalidGeometryError,
-    InvalidParamsError,
 )
 from minisphere.geom import (
     Sphere,
@@ -115,6 +115,26 @@ def test_as_cloud_accepts_lists_and_rejects_bad_shapes():
         as_cloud([[0, 0, np.nan]])
 
 
+CHUNK = geom._CHECK_ROWS
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n, row", [(CHUNK, CHUNK - 1), (2 * CHUNK + 5, CHUNK - 1),
+                                    (2 * CHUNK + 5, CHUNK), (2 * CHUNK + 5, 2 * CHUNK + 4)],
+                         ids=["last-of-one-chunk", "before-boundary", "after-boundary", "last-of-partial-chunk"])
+def test_as_cloud_rejects_non_finite_in_every_chunk(bad, n, row):
+    """The chunked finiteness check sees the last row and both sides of a chunk boundary."""
+    P = np.zeros((n, 3))
+    assert as_cloud(P) is P
+    for col in range(3):
+        Q = P.copy()
+        Q[row, col] = bad
+        with pytest.raises(InvalidGeometryError):
+            as_cloud(Q)
+        with pytest.raises(InvalidGeometryError):
+            as_cloud(np.asfortranarray(Q))
+
+
 def test_tolerance_for_unit_cube_diagonal():
     from conftest import cube_corners
 
@@ -145,17 +165,6 @@ def test_tolerance_for_rejects_non_finite_coordinates(bad, col):
         tolerance_for(P)
     with pytest.raises(InvalidGeometryError):
         tolerance_for(P[::-1])
-
-
-def test_tolerance_for_rejects_eps_outside_unit_interval():
-    """A negative band lets a solve miss points; NaN and infinity make no band."""
-    from conftest import cube_corners
-
-    for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(InvalidParamsError):
-            tolerance_for(cube_corners(), bad)
-    for good in (0.0, 1e-6):
-        assert tolerance_for(cube_corners(), good).eps_rel == good
 
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)

@@ -6,12 +6,11 @@ import pytest
 
 from minisphere import projection, welzl
 from minisphere.datagen import generate, kinds
-from minisphere.errors import InvalidGeometryError
 from minisphere.geom import Tolerance, tolerance_for
 from minisphere.oracle import brute_force_ses
-from minisphere.welzl import min_sphere_with_boundary, welzl_solve
+from minisphere.welzl import welzl_solve
 
-from conftest import cube_corners, max_violation, noisy_shell, rel_err
+from conftest import max_violation, noisy_shell, rel_err
 
 
 def test_matches_oracle_across_kinds_and_seeds():
@@ -96,35 +95,6 @@ def test_collinear_is_segment_ball():
     span = np.linalg.norm(P.max(axis=0) - P.min(axis=0))
     assert rel_err(sphere.radius, span / 2.0) < 1e-12
     assert len(support.indices) == 2
-
-
-def test_boundary_constraint_zero_free_points():
-    pts = np.empty((0, 3))
-    b = cube_corners()[[0, 7]]  # main diagonal
-    sphere = min_sphere_with_boundary(pts, b)
-    assert rel_err(sphere.radius, math.sqrt(3.0) / 2.0) < 1e-13
-    assert np.allclose(sphere.center, [0.5, 0.5, 0.5], atol=1e-13)
-
-
-def test_boundary_constraint_mixed():
-    # free interior point plus two fixed boundary points: boundary still binds
-    free = np.array([[0.5, 0.5, 0.5]])
-    b = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    sphere = min_sphere_with_boundary(free, b)
-    for p in b:
-        assert abs(np.linalg.norm(p - sphere.center) - sphere.radius) < 1e-9
-    assert np.linalg.norm(free[0] - sphere.center) <= sphere.radius + 1e-9
-
-
-def test_boundary_of_four_is_direct():
-    b = np.array([[0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=float)
-    sphere = min_sphere_with_boundary(np.empty((0, 3)), b)
-    assert rel_err(sphere.radius, math.sqrt(3.0) / 2.0) < 1e-13
-
-
-def test_boundary_too_large_rejected():
-    with pytest.raises(InvalidGeometryError):
-        min_sphere_with_boundary(np.empty((0, 3)), np.zeros((5, 3)))
 
 
 def test_pivoting_ball_bounded_by_outermost_points():
