@@ -3,8 +3,8 @@
 Points are plain sequences or numpy arrays of three floats; point clouds
 are (N, 3) float64 arrays. All comparisons against a radius happen on
 squared distances. Degeneracy thresholds are relative to the local extent
-of the points involved, and containment bands are relative to the cloud
-scale, with no absolute floor, so scaling a cloud scales every band with it.
+of the points involved, and containment bands are relative to the sphere
+or to a given ``Tolerance``, so scaling a cloud scales every band with it.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class Sphere(NamedTuple):
 class Tolerance(NamedTuple):
     """Relative epsilon plus the length scale it applies to.
 
-    ``scale`` is normally the bounding-box diagonal of the cloud being
-    processed, computed once at ingestion. The absolute tolerance used in
+    ``scale`` is normally a cloud's bounding-box diagonal (``tolerance_for``)
+    or a sphere's diameter (``contains``). The absolute tolerance used in
     containment checks is ``eps_rel * scale``.
     """
 
@@ -46,49 +46,41 @@ class Tolerance(NamedTuple):
 
 
 _DEFAULT_TOL = Tolerance()
-_CHECK_ROWS = 32768  # rows per finiteness-check chunk: one reused 96 kB mask
+_CHECK_ROWS = 32768  # rows per range-check chunk: 768 kB, so max() rereads min()'s rows from cache
+_MAX_COORD = 1e150  # beyond it, squared distances leave the double range
 
 
-def _as_array(points, allow_empty: bool) -> np.ndarray:
-    """An (N, 3) float64 array of ``points``; the coordinates are not checked."""
+def as_cloud(points) -> np.ndarray:
+    """Validate and normalize a point cloud to a C-contiguous (N, 3) float64 array.
+
+    An empty cloud raises EmptyInputError; a coordinate that is not finite
+    or lies beyond ±1e150, where squared distances overflow, raises
+    InvalidGeometryError. Chunked min and max: no (N, 3) temporary.
+    """
     P = np.asarray(points, dtype=np.float64)
     if P.ndim == 1 and P.size == 0:
         P = P.reshape(0, 3)
     if P.ndim != 2 or P.shape[1] != 3:
         raise InvalidGeometryError(f"expected an (N, 3) point array, got shape {P.shape}")
-    if P.shape[0] == 0 and not allow_empty:
+    if P.shape[0] == 0:
         raise EmptyInputError("point cloud is empty")
-    return P
-
-
-def as_cloud(points, allow_empty: bool = False) -> np.ndarray:
-    """Validate and normalize a point cloud to a C-contiguous (N, 3) float64 array.
-
-    The finiteness check runs over row chunks into one reused mask, so it
-    allocates no (N, 3) temporary.
-    """
-    P = _as_array(points, allow_empty)
-    mask = np.empty((min(len(P), _CHECK_ROWS), 3), dtype=bool)
     for lo in range(0, len(P), _CHECK_ROWS):
         Q = P[lo:lo + _CHECK_ROWS]
-        if not np.isfinite(Q, out=mask[:len(Q)]).all():
-            raise InvalidGeometryError("point cloud contains non-finite coordinates")
+        if not -_MAX_COORD <= float(Q.min()) <= float(Q.max()) <= _MAX_COORD:  # NaN fails too
+            raise InvalidGeometryError(f"coordinates must be finite and within ±{_MAX_COORD:g}")
     return np.ascontiguousarray(P)
 
 
 def tolerance_for(points) -> Tolerance:
     """Tolerance whose scale is the bounding-box diagonal of ``points``.
 
-    The relative epsilon is ``Tolerance``'s default. The box is taken
-    column by column, ~10x faster than axis-0 max/min on a row-major
-    (N, 3) array. Max and min propagate NaN and infinities, so they double
-    as the finiteness check.
+    The relative epsilon is ``Tolerance``'s default; the oracles and the
+    tests size their bands with it. The box is taken column by column,
+    ~10x faster than axis-0 max/min on a row-major (N, 3) array.
     """
-    P = _as_array(points, allow_empty=False)
+    P = as_cloud(points)
     hi = [float(P[:, i].max()) for i in range(3)]
     lo = [float(P[:, i].min()) for i in range(3)]
-    if not all(map(math.isfinite, hi + lo)):
-        raise InvalidGeometryError("point cloud contains non-finite coordinates")
     return Tolerance(scale=math.sqrt(sum((h - l) ** 2 for h, l in zip(hi, lo))))
 
 
@@ -117,18 +109,22 @@ def _circum3(pa, pb, pc, eps: float):
     No input validation, no square root; the hot path of the incremental
     solver runs through here. Collinearity test in squared form:
     ``|cross(b - a, c - a)|^2 <= (eps * L^2)^2`` with L^2 the largest
-    squared pairwise distance of the triple.
+    squared pairwise distance of the triple. The products run on offsets
+    scaled to unit size by an exact power of two, so none overflows.
     """
     ax, ay, az = pa
     bx, by, bz = pb
     cx, cy, cz = pc
     bax, bay, baz = bx - ax, by - ay, bz - az
     cax, cay, caz = cx - ax, cy - ay, cz - az
-    d11 = bax * bax + bay * bay + baz * baz
-    d22 = cax * cax + cay * cay + caz * caz
-    d12 = bax * cax + bay * cay + baz * caz
-    bcx, bcy, bcz = cx - bx, cy - by, cz - bz
-    l2 = max(d11, d22, bcx * bcx + bcy * bcy + bcz * bcz)
+    e = math.frexp(max(abs(bax), abs(bay), abs(baz), abs(cax), abs(cay), abs(caz)))[1]
+    ux, uy, uz = math.ldexp(bax, -e), math.ldexp(bay, -e), math.ldexp(baz, -e)
+    vx, vy, vz = math.ldexp(cax, -e), math.ldexp(cay, -e), math.ldexp(caz, -e)
+    wx, wy, wz = math.ldexp(cx - bx, -e), math.ldexp(cy - by, -e), math.ldexp(cz - bz, -e)
+    d11 = ux * ux + uy * uy + uz * uz
+    d22 = vx * vx + vy * vy + vz * vz
+    d12 = ux * vx + uy * vy + uz * vz
+    l2 = max(d11, d22, wx * wx + wy * wy + wz * wz)
     det = d11 * d22 - d12 * d12  # == |cross(b-a, c-a)|**2
     if det <= (eps * l2) ** 2:
         raise DegenerateCollinear("three points are collinear within tolerance")
@@ -138,7 +134,7 @@ def _circum3(pa, pb, pc, eps: float):
         ax + alpha * bax + beta * cax,
         ay + alpha * bay + beta * cay,
         az + alpha * baz + beta * caz,
-        alpha * alpha * d11 + 2.0 * alpha * beta * d12 + beta * beta * d22,
+        math.ldexp(alpha * alpha * d11 + 2.0 * alpha * beta * d12 + beta * beta * d22, 2 * e),
     )
 
 
@@ -149,19 +145,25 @@ def _circum4(pa, pb, pc, pd, eps: float):
     ``(|b|^2 (c x d) + |c|^2 (d x b) + |d|^2 (b x c)) / (2 det)`` where
     ``det = b . (c x d)``. Coplanarity test kept in squared form to avoid
     square roots: ``det^2 <= (eps * L^3)^2`` with L the largest pairwise
-    distance of the quadruple.
+    distance of the quadruple, on offsets scaled as in ``_circum3``.
     """
     ax, ay, az = pa
     bx, by, bz = pb[0] - ax, pb[1] - ay, pb[2] - az
     cx, cy, cz = pc[0] - ax, pc[1] - ay, pc[2] - az
     dx, dy, dz = pd[0] - ax, pd[1] - ay, pd[2] - az
+    e = math.frexp(max(abs(bx), abs(by), abs(bz), abs(cx), abs(cy), abs(cz),
+                       abs(dx), abs(dy), abs(dz)))[1]
+    bx, by, bz = math.ldexp(bx, -e), math.ldexp(by, -e), math.ldexp(bz, -e)
+    cx, cy, cz = math.ldexp(cx, -e), math.ldexp(cy, -e), math.ldexp(cz, -e)
+    dx, dy, dz = math.ldexp(dx, -e), math.ldexp(dy, -e), math.ldexp(dz, -e)
     b2 = bx * bx + by * by + bz * bz
     c2 = cx * cx + cy * cy + cz * cz
     d2 = dx * dx + dy * dy + dz * dz
     ex, ey, ez = cx - bx, cy - by, cz - bz
     fx, fy, fz = dx - bx, dy - by, dz - bz
     gx, gy, gz = dx - cx, dy - cy, dz - cz
-    l2 = max(b2, c2, d2, ex * ex + ey * ey + ez * ez, fx * fx + fy * fy + fz * fz, gx * gx + gy * gy + gz * gz)
+    l2 = max(b2, c2, d2, ex * ex + ey * ey + ez * ez, fx * fx + fy * fy + fz * fz,
+             gx * gx + gy * gy + gz * gz)
     cdx, cdy, cdz = cy * dz - cz * dy, cz * dx - cx * dz, cx * dy - cy * dx
     dbx, dby, dbz = dy * bz - dz * by, dz * bx - dx * bz, dx * by - dy * bx
     bcx, bcy, bcz = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
@@ -172,7 +174,8 @@ def _circum4(pa, pb, pc, pd, eps: float):
     x = (b2 * cdx + c2 * dbx + d2 * bcx) * f
     y = (b2 * cdy + c2 * dby + d2 * bcy) * f
     z = (b2 * cdz + c2 * dbz + d2 * bcz) * f
-    return ax + x, ay + y, az + z, x * x + y * y + z * z
+    return (ax + math.ldexp(x, e), ay + math.ldexp(y, e), az + math.ldexp(z, e),
+            math.ldexp(x * x + y * y + z * z, 2 * e))
 
 
 def sphere_from_three(a, b, c, tol: Tolerance | None = None) -> Sphere:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidKError, InvalidParamsError
-from .geom import Sphere, as_cloud, tolerance_for
+from .geom import Sphere, as_cloud, tolerance_for  # noqa: F401  tolerance_for: unused, but perfbench/spans.py hooks it
 from .welzl import _pivot_solve, welzl_solve
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -68,12 +68,11 @@ class SolveReport:
     ``repair_rounds`` counts the full-cloud pivots after the reduced
     set's solve; ``fallback_full_solve`` says rounding stalled them and a
     move-to-front Welzl over the full cloud finished. ``timings``:
-    ``ingest_ms`` (validation, tolerance), ``reduce_ms``, ``solve_ms``
-    (the reduced set's solve), ``verify_ms`` (the full-cloud scans and
-    pivots). For ``strategy == "welzl"``, ``k`` and ``reduced_size`` are
-    None, ``repair_rounds``, ``reduce_ms`` and ``verify_ms`` are 0,
-    ``ingest_ms`` is validation only, and ``solve_ms`` is ``welzl_solve``
-    on the full cloud, its tolerance included.
+    ``ingest_ms`` (validation), ``reduce_ms``, ``solve_ms`` (the reduced
+    set's solve), ``verify_ms`` (the full-cloud scans and pivots). For
+    ``strategy == "welzl"``, ``k`` and ``reduced_size`` are None,
+    ``repair_rounds``, ``reduce_ms`` and ``verify_ms`` are 0, and
+    ``solve_ms`` is ``welzl_solve`` on the full cloud.
     """
 
     sphere: Sphere
@@ -234,8 +233,9 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
     ``k`` and ``reduced_size`` are None, ``repair_rounds`` is 0, and
     everything after ingest is timed as ``solve_ms``.
 
-    There is no tolerance argument: the full cloud and the reduced set
-    each get the bands of ``tolerance_for``, relative to their own scale.
+    There is no tolerance argument and no cloud scale: every band is
+    relative to the ball or the points it tests, so scaling a cloud by a
+    power of two scales the result exactly, from about 1e-150 to 1e150.
     """
     if strategy not in ("projection", "welzl"):
         raise InvalidParamsError(f"unknown strategy {strategy!r}")
@@ -243,12 +243,11 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
     P = as_cloud(points)
     if strategy == "welzl":
         k = reduced_size = None
-        t_in = t1 = time.perf_counter()  # no reduce stage; welzl_solve scales its own tolerance
+        t_in = t1 = time.perf_counter()  # no reduce stage
         sphere, support = welzl_solve(P, seed=seed)
         t2 = t3 = time.perf_counter()
         pivots, stalled = 0, False
     else:
-        tol = tolerance_for(P)
         t_in = time.perf_counter()
         k = _plane_count(select_k(len(P)) if sel is None else sel)
         rset = reduce(P, k)
@@ -256,7 +255,7 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
         t1 = time.perf_counter()
         _, sup = welzl_solve(P[rset.indices], seed=seed)
         t2 = time.perf_counter()
-        sphere, support, pivots, stalled = _pivot_solve(P, rset.indices[list(sup.indices)].tolist(), seed, tol)
+        sphere, support, pivots, stalled = _pivot_solve(P, rset.indices[list(sup.indices)].tolist(), seed)
         t3 = time.perf_counter()
 
     return SolveReport(

@@ -23,12 +23,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateCollinear, DegenerateCoplanar, EmptyInputError
-from .geom import Sphere, Tolerance, _circum3, _circum4, as_cloud, tolerance_for
+from .geom import _DEFAULT_TOL, Sphere, _circum3, _circum4, as_cloud
 
 _CHUNK = 8192
 _SCAN_CHUNK = 32768  # rows per farthest-point scan chunk: two 256 kB buffers
-# relative slack on r^2 in violation tests; well below any user tolerance
+# relative slack on r^2 in outside tests: ~1800 ulps, room for a constructed ball's rounding
 _REL_BAND = 1.0 + 4e-13
+_EPS = _DEFAULT_TOL.eps_rel  # degeneracy cut, relative to the extent of the points tested
 _ULP = 2.0 ** -52  # one unit in the last place, relative to a coordinate's magnitude
 
 
@@ -46,23 +47,21 @@ class _Ball(NamedTuple):
 
 
 class _Ctx:
-    """Coordinates in solve order, their input rows and tolerance bands.
+    """Coordinates in solve order and their input rows.
 
     One contiguous array per coordinate and one of input rows, which the
     move-to-front rule reorders in place.
     """
 
-    __slots__ = ("xs", "ys", "zs", "ids", "eps", "abs2")
+    __slots__ = ("xs", "ys", "zs", "ids")
 
-    def __init__(self, xs, ys, zs, ids, tol: Tolerance):
+    def __init__(self, xs, ys, zs, ids):
         self.xs, self.ys, self.zs, self.ids = xs, ys, zs, ids
-        self.eps = tol.eps_rel
-        self.abs2 = (1e-14 * tol.scale) ** 2
 
     @classmethod
-    def of(cls, P: np.ndarray, order: np.ndarray, tol: Tolerance) -> "_Ctx":
+    def of(cls, P: np.ndarray, order: np.ndarray) -> "_Ctx":
         """Rows ``order`` of P; ``order`` becomes the ids array."""
-        return cls(P[order, 0], P[order, 1], P[order, 2], order, tol)
+        return cls(P[order, 0], P[order, 1], P[order, 2], order)
 
     def entry(self, row: int):
         return ((float(self.xs[row]), float(self.ys[row]), float(self.zs[row])), int(self.ids[row]))
@@ -91,36 +90,36 @@ def welzl_solve(points, seed: int = 0) -> tuple[Sphere, SupportSet]:
     (Sphere, SupportSet) where the support holds 1 to 4 input indices
     (sorted, deduplicated) of points on the sphere boundary.
 
-    Every band is ``tolerance_for(points)``, relative to the cloud's own
-    scale; there is nothing to tune.
+    Every band is relative to what it tests, so there is nothing to tune:
+    4e-13 of the squared radius, 1e-9 of a triple's or quadruple's extent.
 
     The pivoting starts from the exact min ball of the first (up to four)
     rows, so a caller that knows the final support can warm-start the
     solve by passing those rows first: then no pivot is needed.
     """
     P = as_cloud(points)
-    return _pivot_solve(P, range(min(len(P), 4)), seed, tolerance_for(P))[:2]
+    return _pivot_solve(P, range(min(len(P), 4)), seed)[:2]
 
 
-def _pivot_solve(P: np.ndarray, start, seed: int, tol: Tolerance) -> tuple[Sphere, SupportSet, int, bool]:
+def _pivot_solve(P: np.ndarray, start, seed: int) -> tuple[Sphere, SupportSet, int, bool]:
     """Min ball of the rows of P, pivoting from the exact ball of rows ``start``.
 
     Returns the sphere, its support, the number of pivots taken and
     whether rounding stalled them, in which case a move-to-front Welzl
     over a ``seed``-shuffled copy of P finished the solve.
     """
-    ball, pivots = _pivot_ball(P, start, tol)
+    ball, pivots = _pivot_ball(P, start)
     stalled = ball is None
     if stalled:
         order = np.random.default_rng(seed).permutation(len(P))
-        ball = _min_ball(_Ctx.of(P, order, tol), len(P), ())
+        ball = _min_ball(_Ctx.of(P, order), len(P), ())
     rows = sorted({i for (_, i) in ball.support})
     support = SupportSet(tuple(rows), P[rows].copy())
     sphere = Sphere(np.array(ball.c, dtype=np.float64), math.sqrt(max(ball.r2, 0.0)))
     return sphere, support, pivots, stalled
 
 
-def _pivot_ball(P: np.ndarray, start, tol: Tolerance) -> tuple[_Ball | None, int]:
+def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball | None, int]:
     """Min ball of the rows of P by Gaertner's pivoting, and its pivot count.
 
     The start ball is the exact min ball of the (one to four) rows
@@ -129,35 +128,34 @@ def _pivot_ball(P: np.ndarray, start, tol: Tolerance) -> tuple[_Ball | None, int
     pivot pinned, replaces the ball, so the radius grows every round and
     the loop ends. The ball is None if rounding stalls the growth.
     """
-    eps, abs2 = tol.eps_rel, (1e-14 * tol.scale) ** 2
     first = tuple(_row(P, i) for i in start)
     ball = _ball1(first[0])
     for k in range(1, len(first)):
-        if _outside(ball, first[k], abs2):
-            ball = _pinned_ball(first[:k], (first[k],), eps, abs2)
+        if _outside(ball, first[k]):
+            ball = _pinned_ball(first[:k], (first[k],))
     pivots = 0
     while True:
-        j = _farthest_outside(P, ball, abs2)
+        j = _farthest_outside(P, ball)
         if j < 0:
             return ball, pivots
-        grown = _pinned_ball(ball.support, (_row(P, j),), eps, abs2)
+        grown = _pinned_ball(ball.support, (_row(P, j),))
         pivots += 1
         if not grown.r2 > ball.r2:
             return None, pivots
         ball = grown
 
 
-def _pinned_ball(entries: tuple, boundary: tuple, eps: float, abs2: float) -> _Ball:
+def _pinned_ball(entries: tuple, boundary: tuple) -> _Ball:
     """Min ball of at most four ``entries`` with ``boundary`` pinned.
 
     Plain Welzl: at this size the move-to-front bookkeeping costs more
     than the rescans it saves.
     """
-    ball = _boundary_ball(boundary, eps)
+    ball = _boundary_ball(boundary)
     for k, e in enumerate(entries):
-        if _outside(ball, e, abs2):
+        if _outside(ball, e):
             pinned = boundary + (e,)
-            ball = _ball4(pinned, eps) if len(pinned) == 4 else _pinned_ball(entries[:k], pinned, eps, abs2)
+            ball = _ball4(pinned) if len(pinned) == 4 else _pinned_ball(entries[:k], pinned)
     return ball
 
 
@@ -169,7 +167,7 @@ def _min_ball(ctx: _Ctx, m: int, boundary: tuple) -> _Ball:
     the prefix meet it first. The scan continues after its old position.
     """
     if boundary:
-        ball = _boundary_ball(boundary, ctx.eps)
+        ball = _boundary_ball(boundary)
         start = 0
     else:
         if m == 0:
@@ -183,7 +181,7 @@ def _min_ball(ctx: _Ctx, m: int, boundary: tuple) -> _Ball:
         e = ctx.entry(j)
         if len(boundary) == 3:
             # four pinned points determine the sphere outright
-            ball = _ball4(boundary + (e,), ctx.eps)
+            ball = _ball4(boundary + (e,))
         else:
             ball = _min_ball(ctx, j, boundary + (e,))
         ctx.to_front(j)
@@ -194,7 +192,7 @@ def _first_outside(ctx: _Ctx, ball: _Ball, start: int, stop: int) -> int:
     if start >= stop:
         return -1
     cx, cy, cz = ball.c
-    thr = _limit(ball, ctx.abs2)
+    thr = _limit(ball)
     xs, ys, zs = ctx.xs, ctx.ys, ctx.zs
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
@@ -207,14 +205,14 @@ def _first_outside(ctx: _Ctx, ball: _Ball, start: int, stop: int) -> int:
     return -1
 
 
-def _farthest_outside(P: np.ndarray, ball: _Ball, abs2: float) -> int:
+def _farthest_outside(P: np.ndarray, ball: _Ball) -> int:
     """Row of P farthest from the ball's centre if it lies outside, else -1.
 
     The first of equally far rows wins. Strided columns are scanned into
     two reused chunk buffers: no temporaries, no transposed copy of P.
     """
     cx, cy, cz = ball.c
-    far = _limit(ball, abs2)
+    far = _limit(ball)
     j = -1
     d2, t = np.empty((2, min(len(P), _SCAN_CHUNK)))
     for lo in range(0, len(P), _SCAN_CHUNK):
@@ -229,14 +227,14 @@ def _farthest_outside(P: np.ndarray, ball: _Ball, abs2: float) -> int:
     return j
 
 
-def _outside(ball: _Ball, e, abs2: float) -> bool:
+def _outside(ball: _Ball, e) -> bool:
     (x, y, z), _ = e
     cx, cy, cz = ball.c
     dx, dy, dz = x - cx, y - cy, z - cz
-    return dx * dx + dy * dy + dz * dz > _limit(ball, abs2)
+    return dx * dx + dy * dy + dz * dz > _limit(ball)
 
 
-def _limit(ball: _Ball, abs2: float) -> float:
+def _limit(ball: _Ball) -> float:
     """Squared distance from the centre beyond which a point is outside.
 
     The radius is widened by the rounding of a stored centre, so that
@@ -244,7 +242,7 @@ def _limit(ball: _Ball, abs2: float) -> float:
     """
     cx, cy, cz = ball.c
     r = math.sqrt(ball.r2) + _ULP * max(abs(cx), abs(cy), abs(cz))
-    return r * r * _REL_BAND + abs2
+    return r * r * _REL_BAND
 
 
 def _row(P: np.ndarray, i: int):
@@ -262,9 +260,9 @@ def _ball2(e1, e2) -> _Ball:
     return _Ball(c, 0.25 * (dx * dx + dy * dy + dz * dz), (e1, e2))
 
 
-def _ball3(e1, e2, e3, eps: float) -> _Ball:
+def _ball3(e1, e2, e3) -> _Ball:
     try:
-        ox, oy, oz, r2 = _circum3(e1[0], e2[0], e3[0], eps)
+        ox, oy, oz, r2 = _circum3(e1[0], e2[0], e3[0], _EPS)
     except DegenerateCollinear:
         # collinear: the extreme pair's ball covers the middle point
         balls = (_ball2(e1, e2), _ball2(e1, e3), _ball2(e2, e3))
@@ -272,29 +270,29 @@ def _ball3(e1, e2, e3, eps: float) -> _Ball:
     return _Ball((ox, oy, oz), r2, (e1, e2, e3))
 
 
-def _ball4(entries: tuple, eps: float) -> _Ball:
+def _ball4(entries: tuple) -> _Ball:
     try:
-        ox, oy, oz, r2 = _circum4(entries[0][0], entries[1][0], entries[2][0], entries[3][0], eps)
+        ox, oy, oz, r2 = _circum4(entries[0][0], entries[1][0], entries[2][0], entries[3][0], _EPS)
     except DegenerateCoplanar:
-        return _flat4(entries, eps)
+        return _flat4(entries)
     return _Ball((ox, oy, oz), r2, entries)
 
 
-def _flat4(entries: tuple, eps: float) -> _Ball:
+def _flat4(entries: tuple) -> _Ball:
     """Min enclosing ball of four coplanar points: pair and triple candidates."""
     pts = [e[0] for e in entries]
     l2 = 0.0
     for (ax, ay, az), (bx, by, bz) in combinations(pts, 2):
         dx, dy, dz = ax - bx, ay - by, az - bz
         l2 = max(l2, dx * dx + dy * dy + dz * dz)
-    lam = eps * math.sqrt(l2)
+    lam = _EPS * math.sqrt(l2)
 
     cands = []
     for i, j in combinations(range(4), 2):
         cands.append(_ball2(entries[i], entries[j]))
     for i, j, k in combinations(range(4), 3):
         try:
-            ox, oy, oz, r2 = _circum3(entries[i][0], entries[j][0], entries[k][0], eps)
+            ox, oy, oz, r2 = _circum3(entries[i][0], entries[j][0], entries[k][0], _EPS)
         except DegenerateCollinear:
             continue  # its extreme pair is already a candidate
         cands.append(_Ball((ox, oy, oz), r2, (entries[i], entries[j], entries[k])))
@@ -319,12 +317,12 @@ def _flat4(entries: tuple, eps: float) -> _Ball:
     return least_bad[1]  # nothing enclosed within band; least-violating candidate
 
 
-def _boundary_ball(boundary: tuple, eps: float) -> _Ball:
+def _boundary_ball(boundary: tuple) -> _Ball:
     n = len(boundary)
     if n == 1:
         return _ball1(boundary[0])
     if n == 2:
         return _ball2(boundary[0], boundary[1])
     if n == 3:
-        return _ball3(boundary[0], boundary[1], boundary[2], eps)
+        return _ball3(boundary[0], boundary[1], boundary[2])
     raise AssertionError("boundary size out of range")

@@ -119,6 +119,15 @@ def test_nonfinite_input_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_cloud_beyond_1e150_exits_3(capsys, tmp_cloud_file):
+    """A cloud whose squared distances would overflow is refused, not
+    answered with a wrong sphere and exit 0."""
+    path = tmp_cloud_file(generate("uniform-ball", 1000, seed=0) * 1e200, fmt="xyz")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 3 and out == ""
+    assert "1e+150" in err
+
+
 def test_parse_error_reports_line(capsys, tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("1,2,3\nx,y\n")

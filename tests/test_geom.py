@@ -110,7 +110,8 @@ def test_as_cloud_accepts_lists_and_rejects_bad_shapes():
         as_cloud(np.zeros((4, 2)))
     with pytest.raises(EmptyInputError):
         as_cloud(np.zeros((0, 3)))
-    assert as_cloud(np.zeros((0, 3)), allow_empty=True).shape == (0, 3)
+    with pytest.raises(EmptyInputError):
+        as_cloud([])
     with pytest.raises(InvalidGeometryError):
         as_cloud([[0, 0, np.nan]])
 
@@ -135,6 +136,19 @@ def test_as_cloud_rejects_non_finite_in_every_chunk(bad, n, row):
             as_cloud(np.asfortranarray(Q))
 
 
+@pytest.mark.parametrize("row", [0, CHUNK, 2 * CHUNK + 4])
+def test_as_cloud_bounds_coordinates_at_1e150(row):
+    """±1e150 passes; the next double beyond it, in any column and chunk, fails."""
+    P = np.zeros((2 * CHUNK + 5, 3))
+    P[row] = (1e150, -1e150, 1e150)
+    assert as_cloud(P) is P
+    for col in range(3):
+        Q = P.copy()
+        Q[row, col] = np.nextafter(Q[row, col], 2.0 * Q[row, col])
+        with pytest.raises(InvalidGeometryError):
+            as_cloud(Q)
+
+
 def test_tolerance_for_unit_cube_diagonal():
     from conftest import cube_corners
 
@@ -157,7 +171,7 @@ def test_tolerance_for_scale_is_the_axis0_box_diagonal():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("col", [0, 1, 2])
 def test_tolerance_for_rejects_non_finite_coordinates(bad, col):
-    """The box's max and min double as the finiteness check, in every column."""
+    """``as_cloud`` rejects a non-finite coordinate in every column."""
     P = np.zeros((10, 3))
     P[:, 1] = 1.0
     P[7, col] = bad

@@ -6,7 +6,7 @@ import pytest
 
 from minisphere import projection
 from minisphere.datagen import generate, kinds
-from minisphere.errors import InvalidKError, InvalidParamsError
+from minisphere.errors import InvalidGeometryError, InvalidKError, InvalidParamsError
 from minisphere.oracle import is_hull_vertex
 from minisphere.projection import KSelection, reduce, select_k, solve
 from minisphere.welzl import welzl_solve
@@ -293,7 +293,7 @@ def test_noisy_shell_repair_is_bounded(monkeypatch):
 @pytest.mark.parametrize("scale", [10.0 ** e for e in range(-12, 13)] + ["offset"],
                          ids=[f"1e{e}" for e in range(-12, 13)] + ["offset-1e6"])
 def test_solve_is_scale_invariant(scale):
-    """Every band is relative to the cloud scale, so every decade from 1e-12
+    """Every band is relative to what it tests, so every decade from 1e-12
     to 1e12, and a unit cloud moved by 1e6, solves like the unit cloud."""
     for i, kind in enumerate(kinds()):
         P = generate(kind, 1000, seed=i)
@@ -303,6 +303,40 @@ def test_solve_is_scale_invariant(scale):
         r = rep.sphere.radius
         assert rel_err(r, ref.radius) <= 1e-9, kind
         assert max_violation(P, rep.sphere.center, r) <= 1e-9 * r, kind
+
+
+@pytest.mark.parametrize("s", [-450, -200, 200, 450])
+def test_power_of_two_scaling_is_exact(s):
+    """Scaling a cloud by 2**s scales both solvers' results exactly, far
+    beyond where the cube of a squared extent leaves the double range: the
+    circumsphere cores scale their offsets to unit size first."""
+    f = 2.0 ** s
+    for kind in kinds():
+        P = generate(kind, 1000, seed=0)
+        unit, scaled = solve(P), solve(P * f)
+        assert np.array_equal(scaled.sphere.center, unit.sphere.center * f), kind
+        assert scaled.sphere.radius == unit.sphere.radius * f, kind
+        assert scaled.support_indices == unit.support_indices, kind
+        assert scaled.repair_rounds == unit.repair_rounds, kind
+        (w, wsup), (wf, wfsup) = welzl_solve(P), welzl_solve(P * f)
+        assert np.array_equal(wf.center, w.center * f) and wf.radius == w.radius * f, kind
+        assert wfsup.indices == wsup.indices, kind
+
+
+def test_clouds_beyond_1e150_are_rejected_not_solved_wrong():
+    """Up to 1e150 the squared distances stay finite and the sphere encloses
+    the cloud; beyond it both solvers raise instead of returning a sphere
+    with radius inf (x1e160) or 0.0 (x1e200)."""
+    P = generate("uniform-ball", 1000, seed=0)
+    Q = P * (1e150 / np.abs(P).max())
+    sphere = solve(Q).sphere
+    r = sphere.radius
+    assert math.isfinite(r) and max_violation(Q, sphere.center, r) <= 1e-9 * r
+    for f in (1e160, 1e200):
+        with pytest.raises(InvalidGeometryError):
+            solve(P * f)
+        with pytest.raises(InvalidGeometryError):
+            welzl_solve(P * f)
 
 
 def test_offset_cloud_pivots_like_the_unit_cloud():
