@@ -50,13 +50,8 @@ _CHECK_ROWS = 32768  # rows per range-check chunk: 768 kB, so max() rereads min(
 _MAX_COORD = 1e150  # beyond it, squared distances leave the double range
 
 
-def as_cloud(points) -> np.ndarray:
-    """Validate and normalize a point cloud to a C-contiguous (N, 3) float64 array.
-
-    An empty cloud raises EmptyInputError; a coordinate that is not finite
-    or lies beyond ±1e150, where squared distances overflow, raises
-    InvalidGeometryError. Chunked min and max: no (N, 3) temporary.
-    """
+def _as_rows(points) -> np.ndarray:
+    """``points`` as a C-contiguous (N, 3) float64 array, N >= 1; no range check."""
     P = np.asarray(points, dtype=np.float64)
     if P.ndim == 1 and P.size == 0:
         P = P.reshape(0, 3)
@@ -64,11 +59,26 @@ def as_cloud(points) -> np.ndarray:
         raise InvalidGeometryError(f"expected an (N, 3) point array, got shape {P.shape}")
     if P.shape[0] == 0:
         raise EmptyInputError("point cloud is empty")
-    for lo in range(0, len(P), _CHECK_ROWS):
-        Q = P[lo:lo + _CHECK_ROWS]
-        if not -_MAX_COORD <= float(Q.min()) <= float(Q.max()) <= _MAX_COORD:  # NaN fails too
-            raise InvalidGeometryError(f"coordinates must be finite and within ±{_MAX_COORD:g}")
     return np.ascontiguousarray(P)
+
+
+def _check_range(Q: np.ndarray) -> None:
+    """Raise InvalidGeometryError unless every coordinate of Q is finite and within ±1e150."""
+    if not -_MAX_COORD <= float(Q.min()) <= float(Q.max()) <= _MAX_COORD:  # NaN fails too
+        raise InvalidGeometryError(f"coordinates must be finite and within ±{_MAX_COORD:g}")
+
+
+def as_cloud(points) -> np.ndarray:
+    """Validate and normalize a point cloud to a C-contiguous (N, 3) float64 array.
+
+    An empty cloud raises EmptyInputError; a coordinate that is not finite
+    or lies beyond ±1e150, where squared distances overflow, raises
+    InvalidGeometryError. Chunked min and max: no (N, 3) temporary.
+    """
+    P = _as_rows(points)
+    for lo in range(0, len(P), _CHECK_ROWS):
+        _check_range(P[lo:lo + _CHECK_ROWS])
+    return P
 
 
 def tolerance_for(points) -> Tolerance:

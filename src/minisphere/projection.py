@@ -9,7 +9,8 @@ vertices, so the union of the picks is a small certificate set. Its
 enclosing sphere is then verified against the full cloud and repaired by
 pivoting (Gaertner 1999): the point farthest outside joins the support,
 until no point is outside. That is ``welzl_solve``'s own loop, run over
-the full cloud from the small set's support. ``solve`` is the one entry
+the full cloud from the small set's ball, in batched rounds on clouds
+larger than one scan chunk (see ``welzl``). ``solve`` is the one entry
 point for the library, the CLI and the bench; ``strategy="welzl"`` makes
 it run ``welzl_solve`` on the full cloud and report that the same way.
 
@@ -31,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidKError, InvalidParamsError
-from .geom import Sphere, as_cloud, tolerance_for  # noqa: F401  tolerance_for: unused, but perfbench/spans.py hooks it
-from .welzl import _pivot_solve, welzl_solve
+from .geom import _CHECK_ROWS, Sphere, _as_rows, _check_range, as_cloud, tolerance_for  # noqa: F401  tolerance_for: unused, but perfbench/spans.py hooks it
+from .welzl import _pivot_solve, _solved_ball, welzl_solve
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 _BLOCK_ELEMS = 2 ** 17  # doubles per reduce block: ~1 MB, which keeps BLAS threading cheap
@@ -65,11 +66,13 @@ class ReducedSet(NamedTuple):
 class SolveReport:
     """What ``solve`` found and where its time went.
 
-    ``repair_rounds`` counts the full-cloud pivots after the reduced
-    set's solve; ``fallback_full_solve`` says rounding stalled them and a
-    move-to-front Welzl over the full cloud finished. ``timings``:
-    ``ingest_ms`` (validation), ``reduce_ms``, ``solve_ms`` (the reduced
-    set's solve), ``verify_ms`` (the full-cloud scans and pivots). For
+    ``repair_rounds`` counts the pivots after the reduced set's solve,
+    whether a full scan or a batched round's candidates supplied them;
+    ``fallback_full_solve`` says rounding stalled them and a move-to-front
+    Welzl over the full cloud finished. ``timings``: ``ingest_ms``
+    (validation), ``reduce_ms`` (which range-checks the rows again within
+    its own pass), ``solve_ms`` (the reduced set's solve), ``verify_ms``
+    (the full-cloud scans and all pivots). For
     ``strategy == "welzl"``, ``k`` and ``reduced_size`` are None,
     ``repair_rounds``, ``reduce_ms`` and ``verify_ms`` are 0, and
     ``solve_ms`` is ``welzl_solve`` on the full cloud.
@@ -140,7 +143,8 @@ def _extremes(P: np.ndarray, D: np.ndarray) -> np.ndarray:
     a chunk sets a new best, its maximum is knocked out of the buffer and
     the row's new maximum compared with it, which flags a tie inside the
     chunk. Only flagged directions take the lexicographic slow path
-    (``_lex_max``).
+    (``_lex_max``). The rows are range-checked on the way, in the row
+    blocks of ``as_cloud``, so ``reduce`` validates within its own pass.
     """
     n, m = len(P), len(D)
     c = min(n, max(1, _BLOCK_ELEMS // m))
@@ -149,8 +153,12 @@ def _extremes(P: np.ndarray, D: np.ndarray) -> np.ndarray:
     best = np.full(m, -np.inf)
     out = np.zeros(m, dtype=np.intp)
     tied = np.zeros(m, dtype=bool)
+    checked = 0
     for lo in range(0, n, c):
         Q = P[lo:lo + c]
+        while checked < lo + len(Q):  # validate ahead, in as_cloud's row blocks
+            _check_range(P[checked:checked + _CHECK_ROWS])
+            checked += _CHECK_ROWS
         S = np.matmul(D, Q.T, out=buf[:m * len(Q)].reshape(m, len(Q)))
         j = S.argmax(axis=1)
         v = S[rows, j]
@@ -188,9 +196,10 @@ def reduce(points, sel) -> ReducedSet:
     lexicographic maximum over a basis is a vertex of the tied face, so
     every pick is a convex-hull vertex.
     Output order is stable (first-seen) so downstream solves are
-    deterministic. |indices| is at most min(N, 4k).
+    deterministic. |indices| is at most min(N, 4k). ``points`` is checked
+    as ``as_cloud`` checks it, within the reduce's own pass.
     """
-    P = as_cloud(points)
+    P = _as_rows(points)
     picks = _extremes(P, _fibonacci_directions(4 * _plane_count(sel)))
     indices = np.fromiter(dict.fromkeys(picks.tolist()), dtype=np.intp)
     return ReducedSet(indices, picks)
@@ -224,12 +233,16 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
 
     Returns
     -------
-    SolveReport. With "projection", the reduced set's sphere is the start
+    SolveReport. With "projection", the reduced set's ball is the start
     of a pivoting over the full cloud: while a point lies outside (beyond
     a band of rounding size), the farthest one joins the support and the
-    ball is rebuilt. Each pivot is a repair round. If rounding stalls the
-    pivoting, a move-to-front Welzl over the full cloud finishes the solve
-    and ``fallback_full_solve`` says so. With "welzl",
+    ball is rebuilt. On a cloud larger than one scan chunk each full scan
+    also gathers the farthest outside row of every 64-row block, and the
+    pivots run over those in memory before the next scan; the loop ends
+    on a full scan that finds no point outside. Each pivot is a repair
+    round. If rounding stalls the pivoting, a move-to-front Welzl over the
+    full cloud finishes the solve and ``fallback_full_solve`` says so.
+    With "welzl",
     ``k`` and ``reduced_size`` are None, ``repair_rounds`` is 0, and
     everything after ingest is timed as ``solve_ms``.
 
@@ -253,9 +266,10 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
         rset = reduce(P, k)
         reduced_size = int(len(rset.indices))
         t1 = time.perf_counter()
-        _, sup = welzl_solve(P[rset.indices], seed=seed)
+        small, sup = welzl_solve(P[rset.indices], seed=seed)
         t2 = time.perf_counter()
-        sphere, support, pivots, stalled = _pivot_solve(P, rset.indices[list(sup.indices)].tolist(), seed)
+        start = _solved_ball(P, small, rset.indices[list(sup.indices)].tolist())
+        sphere, support, pivots, stalled = _pivot_solve(P, start, seed)
         t3 = time.perf_counter()
 
     return SolveReport(

@@ -5,11 +5,19 @@ Welzl's recursion (1991): the point farthest outside the current ball is
 found with one vectorized scan, and the ball of the current support plus
 that point, with the point pinned, replaces it. Pinned sets hold at most
 four points, so no recursion is open-ended. ``projection.solve``'s repair
-is this loop run over the full cloud from the reduced set's support. If
-rounding stalls the pivoting, a move-to-front Welzl scan over a shuffled
-copy finishes the solve. It keeps one array per coordinate, reordered in
-place, and looks for the first point outside with a chunked vectorized
-scan.
+is this loop run over the full cloud from the reduced set's ball. That
+ball is close to the answer, so on a cloud larger than one scan chunk
+the repair goes in batched rounds (Badoiu and Clarkson, "Smaller
+core-sets for balls", 2003): each full scan also keeps the farthest row
+of every 64-row block that lies outside, and the pivots run over those
+candidates in memory before the next full scan. ``welzl_solve`` starts
+from four arbitrary rows, far from the answer, where such rounds cost
+more than the scans they save on some kinds, so it finds each pivot with
+a full scan. Either loop ends only on a full scan that finds no point
+outside. If rounding stalls the pivoting, a move-to-front Welzl scan over
+a shuffled copy finishes the solve. It keeps one array per coordinate,
+reordered in place, and looks for the first point outside with a chunked
+vectorized scan.
 Near-co-spherical inputs drive the ball constructors hard, so all
 candidate-sphere math runs on bare floats.
 """
@@ -27,6 +35,7 @@ from .geom import _DEFAULT_TOL, Sphere, _circum3, _circum4, as_cloud
 
 _CHUNK = 8192
 _SCAN_CHUNK = 32768  # rows per farthest-point scan chunk: two 256 kB buffers
+_BLOCK = 64  # rows per candidate block of a batched scan; divides _SCAN_CHUNK; 128 and 256 took 5 scans where 64 took 2
 # relative slack on r^2 in outside tests: ~1800 ulps, room for a constructed ball's rounding
 _REL_BAND = 1.0 + 4e-13
 _EPS = _DEFAULT_TOL.eps_rel  # degeneracy cut, relative to the extent of the points tested
@@ -102,7 +111,7 @@ def welzl_solve(points, seed: int = 0) -> tuple[Sphere, SupportSet]:
 
 
 def _pivot_solve(P: np.ndarray, start, seed: int) -> tuple[Sphere, SupportSet, int, bool]:
-    """Min ball of the rows of P, pivoting from the exact ball of rows ``start``.
+    """Min ball of the rows of P, pivoting from ``start`` (see ``_pivot_ball``).
 
     Returns the sphere, its support, the number of pivots taken and
     whether rounding stalled them, in which case a move-to-front Welzl
@@ -119,30 +128,50 @@ def _pivot_solve(P: np.ndarray, start, seed: int) -> tuple[Sphere, SupportSet, i
     return sphere, support, pivots, stalled
 
 
+def _solved_ball(P: np.ndarray, sphere: Sphere, rows) -> _Ball:
+    """``sphere``, the min ball of some rows of P, with its support ``rows`` of P."""
+    return _Ball(tuple(sphere.center.tolist()), sphere.radius * sphere.radius, tuple(_row(P, i) for i in rows))
+
+
 def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball | None, int]:
     """Min ball of the rows of P by Gaertner's pivoting, and its pivot count.
 
-    The start ball is the exact min ball of the (one to four) rows
-    ``start``, by plain Welzl. Each pivot is then the row farthest outside
-    the ball; the min ball of the current support plus the pivot, with the
-    pivot pinned, replaces the ball, so the radius grows every round and
-    the loop ends. The ball is None if rounding stalls the growth.
+    ``start`` is either one to four rows of P, whose exact min ball (plain
+    Welzl) starts the pivoting, or a ``_Ball`` that already is the min ball
+    of a subset of P (``_solved_ball``). Each pivot is the row farthest
+    outside the ball; the min ball of the current support plus the pivot,
+    with the pivot pinned, replaces the ball, so the radius grows every
+    pivot and the loop ends. The ball is None if rounding stalls the growth.
+
+    From rows, each pivot is found by a full scan. A solved subset's ball
+    is close to the answer, and a cloud larger than one scan chunk then
+    goes in rounds (Badoiu and Clarkson's core-set rounds): one full scan
+    keeps the farthest row of each block of ``_BLOCK`` rows that lies
+    outside (``_outside_rows``), and the pivots run over a copy of those
+    candidates until none of them is outside. The first pivot of a round
+    is the row a plain scan picks. Either way the loop ends only on a full
+    scan that finds no row outside.
     """
-    first = tuple(_row(P, i) for i in start)
-    ball = _ball1(first[0])
-    for k in range(1, len(first)):
-        if _outside(ball, first[k]):
-            ball = _pinned_ball(first[:k], (first[k],))
+    if isinstance(start, _Ball):
+        ball, batched = start, len(P) > _SCAN_CHUNK
+    else:
+        first = tuple(_row(P, i) for i in start)
+        ball, batched = _ball1(first[0]), False
+        for k in range(1, len(first)):
+            if _outside(ball, first[k]):
+                ball = _pinned_ball(first[:k], (first[k],))
     pivots = 0
     while True:
-        j = _farthest_outside(P, ball)
-        if j < 0:
+        rows = _outside_rows(P, ball) if batched else None
+        Q = P if rows is None else P[rows]
+        while (j := _farthest_outside(Q, ball)) >= 0:
+            grown = _pinned_ball(ball.support, ((tuple(Q[j].tolist()), j if rows is None else int(rows[j])),))
+            pivots += 1
+            if not grown.r2 > ball.r2:
+                return None, pivots
+            ball = grown
+        if rows is None or not len(rows):
             return ball, pivots
-        grown = _pinned_ball(ball.support, (_row(P, j),))
-        pivots += 1
-        if not grown.r2 > ball.r2:
-            return None, pivots
-        ball = grown
 
 
 def _pinned_ball(entries: tuple, boundary: tuple) -> _Ball:
@@ -152,10 +181,17 @@ def _pinned_ball(entries: tuple, boundary: tuple) -> _Ball:
     than the rescans it saves.
     """
     ball = _boundary_ball(boundary)
+    far = None  # the ball's _limit, computed once it is needed
     for k, e in enumerate(entries):
-        if _outside(ball, e):
+        if far is None:
+            far = _limit(ball)
+            cx, cy, cz = ball.c
+        (x, y, z), _ = e
+        dx, dy, dz = x - cx, y - cy, z - cz
+        if dx * dx + dy * dy + dz * dz > far:
             pinned = boundary + (e,)
-            ball = _ball4(pinned) if len(pinned) == 4 else _pinned_ball(entries[:k], pinned)
+            ball = _pinned_ball(entries[:k], pinned) if k and len(pinned) < 4 else _boundary_ball(pinned)
+            far = None
     return ball
 
 
@@ -205,26 +241,55 @@ def _first_outside(ctx: _Ctx, ball: _Ball, start: int, stop: int) -> int:
     return -1
 
 
+def _sq_dist(Q: np.ndarray, c, d: np.ndarray, s: np.ndarray) -> None:
+    """Squared distances of the rows of Q from ``c`` into ``d``; ``s`` is scratch."""
+    cx, cy, cz = c
+    np.square(np.subtract(Q[:, 0], cx, out=d), out=d)
+    d += np.square(np.subtract(Q[:, 1], cy, out=s), out=s)
+    d += np.square(np.subtract(Q[:, 2], cz, out=s), out=s)
+
+
 def _farthest_outside(P: np.ndarray, ball: _Ball) -> int:
     """Row of P farthest from the ball's centre if it lies outside, else -1.
 
     The first of equally far rows wins. Strided columns are scanned into
     two reused chunk buffers: no temporaries, no transposed copy of P.
     """
-    cx, cy, cz = ball.c
     far = _limit(ball)
     j = -1
     d2, t = np.empty((2, min(len(P), _SCAN_CHUNK)))
     for lo in range(0, len(P), _SCAN_CHUNK):
         Q = P[lo:lo + _SCAN_CHUNK]
-        d, s = d2[:len(Q)], t[:len(Q)]
-        np.square(np.subtract(Q[:, 0], cx, out=d), out=d)
-        d += np.square(np.subtract(Q[:, 1], cy, out=s), out=s)
-        d += np.square(np.subtract(Q[:, 2], cz, out=s), out=s)
+        d = d2[:len(Q)]
+        _sq_dist(Q, ball.c, d, t[:len(Q)])
         i = int(d.argmax())
         if d[i] > far:
             far, j = float(d[i]), lo + i
     return j
+
+
+def _outside_rows(P: np.ndarray, ball: _Ball) -> np.ndarray:
+    """Rows of P to pivot over: of each block of ``_BLOCK`` consecutive
+    rows, the farthest from the ball's centre if it lies outside; in row order.
+
+    The first of equally far rows of a block wins, so the farthest of these
+    rows, first of equals, is the row ``_farthest_outside`` picks. Only a
+    chunk with a row outside pays for its block maxima. The chunk buffers
+    are those of ``_farthest_outside``, padded with -inf to whole blocks.
+    """
+    far = _limit(ball)
+    found = []
+    heads = np.arange(0, _SCAN_CHUNK, _BLOCK)
+    d2, t = np.empty((2, min(-(-len(P) // _BLOCK) * _BLOCK, _SCAN_CHUNK)))
+    for lo in range(0, len(P), _SCAN_CHUNK):
+        Q = P[lo:lo + _SCAN_CHUNK]
+        _sq_dist(Q, ball.c, d2[:len(Q)], t[:len(Q)])
+        d2[len(Q):] = -np.inf
+        if d2[d2.argmax()] > far:
+            i = d2.reshape(-1, _BLOCK).argmax(axis=1)
+            i += heads[:len(i)]
+            found.append(i[d2[i] > far] + lo)
+    return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
 
 
 def _outside(ball: _Ball, e) -> bool:
@@ -325,4 +390,6 @@ def _boundary_ball(boundary: tuple) -> _Ball:
         return _ball2(boundary[0], boundary[1])
     if n == 3:
         return _ball3(boundary[0], boundary[1], boundary[2])
+    if n == 4:
+        return _ball4(boundary)
     raise AssertionError("boundary size out of range")

@@ -274,8 +274,9 @@ class TestSolve:
 def test_noisy_shell_repair_is_bounded(monkeypatch):
     """Worst case for repair: a 2e5-point shell with 1e-7 radial noise, on
     which nearly every point is a hull vertex. The small solve sees only the
-    reduced set (at most 4k rows), and the repair takes 8 and 7 full-cloud
-    pivots at k = 1 (also the automatic choice) and 6."""
+    reduced set (at most 4k rows), and the repair takes 6 pivots at k = 1
+    (also the automatic choice) and at 6, over two full scans: one gathers
+    3125 candidates, the other finds no point outside."""
     P = noisy_shell(200_000)
     full, _ = welzl_solve(P, seed=0)
     sizes = []
@@ -351,3 +352,24 @@ def test_offset_cloud_pivots_like_the_unit_cloud():
         assert moved.repair_rounds == unit.repair_rounds, kind
         assert moved.support_indices == unit.support_indices, kind
         assert rel_err(moved.sphere.radius, unit.sphere.radius) < 1e-9, kind
+
+
+@pytest.mark.parametrize("k", [1, 24])
+def test_reduce_validates_in_its_own_pass(k):
+    """``reduce`` range-checks the rows as its chunk loop reaches them: a NaN,
+    an infinity or a coordinate beyond ±1e150 in any column raises, in the
+    first row, on both sides of a range-check block boundary and in the
+    last row; ±1e150 itself passes."""
+    from minisphere.geom import _CHECK_ROWS
+
+    n = 2 * _CHECK_ROWS + 5
+    P = generate("uniform-ball", n, seed=k)
+    P[3] = (1e150, -1e150, 1e150)
+    assert len(reduce(P, k).picks) == 4 * k
+    for row in (0, _CHECK_ROWS - 1, _CHECK_ROWS, n - 1):
+        for col in range(3):
+            for bad in (math.nan, math.inf, -math.inf, np.nextafter(1e150, 2e150)):
+                Q = P.copy()
+                Q[row, col] = bad
+                with pytest.raises(InvalidGeometryError):
+                    reduce(Q, k)

@@ -228,13 +228,13 @@ def test_solve_falls_back_when_pivoting_stalls(monkeypatch):
 
 def test_solve_falls_back_on_a_stalling_cloud():
     """A real input stalls the full-cloud pivots at the default bands: a
-    co-spherical shell moved to 1e6, from the k = 24 reduced set's support.
-    Move-to-front finishes the solve within about one ulp at 1e6.
+    co-spherical shell of 1e5 points moved to 1e4, from the k = 24 reduced
+    set's ball. Move-to-front finishes the solve within about one ulp.
 
     The ``fallback_full_solve`` assertion records today's rounding stall so
     that the fallback is covered on a real input; a change that stops the
     pivots stalling here should pick another stalling cloud for this test."""
-    P = generate("co-spherical", 10_000, seed=0) + 1e6
+    P = generate("co-spherical", 100_000, seed=5) + 1e4
     rep = projection.solve(P, sel=24, seed=0)
     ref, _ = welzl_solve(P, seed=0)
     r = rep.sphere.radius
@@ -274,3 +274,68 @@ def test_farthest_outside_tie_across_chunks_takes_first_row():
     assert welzl._farthest_outside(P, ball) == c - 1 == _farthest_reference(P, ball)
     P[c - 1] = (2.0, 0.0, 0.0)
     assert welzl._farthest_outside(P, ball) == c == _farthest_reference(P, ball)
+
+
+def _outside_rows_reference(P, ball):
+    """Every block's farthest row beyond ``_limit``, by a full-array argmax per block."""
+    cx, cy, cz = ball.c
+    d2 = (P[:, 0] - cx) ** 2 + (P[:, 1] - cy) ** 2 + (P[:, 2] - cz) ** 2
+    far = welzl._limit(ball)
+    rows = [lo + int(d2[lo:lo + welzl._BLOCK].argmax()) for lo in range(0, len(P), welzl._BLOCK)]
+    return [i for i in rows if d2[i] > far]
+
+
+@pytest.mark.parametrize("n", [1, 1000, welzl._SCAN_CHUNK, welzl._SCAN_CHUNK + 1, 2 * welzl._SCAN_CHUNK + 777])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_outside_rows_match_block_argmax(n, offset):
+    """The candidate scan returns every block's farthest row beyond the limit,
+    in row order, for clouds below, at and above one chunk and moved far
+    from the origin; the global farthest row is among them."""
+    P = generate("uniform-ball", n, seed=n % 97) + offset
+    for c, r2 in (((0.0, 0.0, 0.0), 0.25), ((0.1, -0.2, 0.05), 0.5), ((0.0, 0.0, 0.0), 4.0)):
+        ball = welzl._Ball(tuple(x + offset for x in c), r2, ())
+        rows = welzl._outside_rows(P, ball)
+        assert rows.tolist() == _outside_rows_reference(P, ball), (n, c, r2)
+        j = _farthest_reference(P, ball)
+        assert (j < 0) == (len(rows) == 0) and (j < 0 or j in rows.tolist()), (n, c, r2)
+
+
+def test_outside_rows_tie_in_block_takes_first_row():
+    """Equally far rows inside one block: the first is the candidate; in two
+    blocks, both are, and the pivot over them picks the first, as a full scan does."""
+    c, b = welzl._SCAN_CHUNK, welzl._BLOCK
+    P = generate("uniform-ball", 2 * c + 5, seed=4) * 0.5
+    ball = welzl._Ball((0.0, 0.0, 0.0), 1.0, ())
+    P[c + 3] = (3.0, 0.0, 0.0)
+    P[c + 7] = (0.0, 3.0, 0.0)
+    assert welzl._outside_rows(P, ball).tolist() == [c + 3]
+    P[c + b + 1] = (0.0, 0.0, -3.0)
+    rows = welzl._outside_rows(P, ball)
+    assert rows.tolist() == [c + 3, c + b + 1]
+    assert rows[welzl._farthest_outside(P[rows], ball)] == c + 3 == _farthest_reference(P, ball)
+
+
+# full scans (calls of ``welzl._outside_rows``) of ``solve`` on 2e5 points per
+# kind, seed 7, as measured when the batched rounds were introduced; one
+# full scan per pivot took 10, 4, 1, 5, 1, 3 and 5 on these clouds
+_SCANS_2E5 = {"uniform-ball": 4, "uniform-cube": 2, "collinear": 1, "coplanar-disk": 4,
+              "co-spherical": 1, "clustered": 3, "near-degenerate": 4}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCANS_2E5))
+def test_solve_scans_the_full_cloud_few_times(kind, monkeypatch):
+    """``solve``'s repair scans a 2e5-point cloud in a few batched rounds, the
+    last of which finds no row outside; ``welzl_solve`` keeps pivoting on one
+    full scan per pivot and gathers no candidates."""
+    P = generate(kind, 200_000, seed=7)
+    real = welzl._outside_rows
+    ends = []
+    monkeypatch.setattr(welzl, "_outside_rows", lambda Q, ball: ends.append(len(r := real(Q, ball))) or r)
+    rep = projection.solve(P, seed=7)
+    assert 1 <= len(ends) <= _SCANS_2E5[kind], (kind, ends)
+    assert ends[-1] == 0 and all(ends[:-1]), (kind, ends)
+    ends.clear()
+    ref, _ = welzl_solve(P, seed=7)
+    assert ends == [], kind
+    assert rel_err(rep.sphere.radius, ref.radius) < 1e-12, kind
+    assert max_violation(P, rep.sphere.center, rep.sphere.radius) <= 1e-12 * rep.sphere.radius, kind
