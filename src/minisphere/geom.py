@@ -48,24 +48,9 @@ class Tolerance(NamedTuple):
 _DEFAULT_TOL = Tolerance()
 _CHECK_ROWS = 32768  # rows per range-check chunk: 768 kB, so max() rereads min()'s rows from cache
 _MAX_COORD = 1e150  # beyond it, squared distances leave the double range
-
-
-def _as_rows(points) -> np.ndarray:
-    """``points`` as a C-contiguous (N, 3) float64 array, N >= 1; no range check."""
-    P = np.asarray(points, dtype=np.float64)
-    if P.ndim == 1 and P.size == 0:
-        P = P.reshape(0, 3)
-    if P.ndim != 2 or P.shape[1] != 3:
-        raise InvalidGeometryError(f"expected an (N, 3) point array, got shape {P.shape}")
-    if P.shape[0] == 0:
-        raise EmptyInputError("point cloud is empty")
-    return np.ascontiguousarray(P)
-
-
-def _check_range(Q: np.ndarray) -> None:
-    """Raise InvalidGeometryError unless every coordinate of Q is finite and within ±1e150."""
-    if not -_MAX_COORD <= float(Q.min()) <= float(Q.max()) <= _MAX_COORD:  # NaN fails too
-        raise InvalidGeometryError(f"coordinates must be finite and within ±{_MAX_COORD:g}")
+# squared extents at which the circumsphere cores need no scaling: their
+# cubes and every product they form stay far from over- and underflow
+_FAIR_L2 = (2.0 ** -300, 2.0 ** 300)
 
 
 def as_cloud(points) -> np.ndarray:
@@ -75,10 +60,18 @@ def as_cloud(points) -> np.ndarray:
     or lies beyond ±1e150, where squared distances overflow, raises
     InvalidGeometryError. Chunked min and max: no (N, 3) temporary.
     """
-    P = _as_rows(points)
+    P = np.asarray(points, dtype=np.float64)
+    if P.ndim == 1 and P.size == 0:
+        P = P.reshape(0, 3)
+    if P.ndim != 2 or P.shape[1] != 3:
+        raise InvalidGeometryError(f"expected an (N, 3) point array, got shape {P.shape}")
+    if P.shape[0] == 0:
+        raise EmptyInputError("point cloud is empty")
     for lo in range(0, len(P), _CHECK_ROWS):
-        _check_range(P[lo:lo + _CHECK_ROWS])
-    return P
+        Q = P[lo:lo + _CHECK_ROWS]
+        if not -_MAX_COORD <= float(Q.min()) <= float(Q.max()) <= _MAX_COORD:  # NaN fails too
+            raise InvalidGeometryError(f"coordinates must be finite and within ±{_MAX_COORD:g}")
+    return np.ascontiguousarray(P)
 
 
 def tolerance_for(points) -> Tolerance:
@@ -119,22 +112,27 @@ def _circum3(pa, pb, pc, eps: float):
     No input validation, no square root; the hot path of the incremental
     solver runs through here. Collinearity test in squared form:
     ``|cross(b - a, c - a)|^2 <= (eps * L^2)^2`` with L^2 the largest
-    squared pairwise distance of the triple. The products run on offsets
-    scaled to unit size by an exact power of two, so none overflows.
+    squared pairwise distance of the triple. If L^2 lies outside
+    ``_FAIR_L2``, the offsets are first scaled to unit size by an exact
+    power of two, so that no product over- or underflows; inside it the
+    scaling would change no bit of the result.
     """
     ax, ay, az = pa
     bx, by, bz = pb
     cx, cy, cz = pc
     bax, bay, baz = bx - ax, by - ay, bz - az
     cax, cay, caz = cx - ax, cy - ay, cz - az
-    e = math.frexp(max(abs(bax), abs(bay), abs(baz), abs(cax), abs(cay), abs(caz)))[1]
-    ux, uy, uz = math.ldexp(bax, -e), math.ldexp(bay, -e), math.ldexp(baz, -e)
-    vx, vy, vz = math.ldexp(cax, -e), math.ldexp(cay, -e), math.ldexp(caz, -e)
-    wx, wy, wz = math.ldexp(cx - bx, -e), math.ldexp(cy - by, -e), math.ldexp(cz - bz, -e)
-    d11 = ux * ux + uy * uy + uz * uz
-    d22 = vx * vx + vy * vy + vz * vz
+    ux, uy, uz, vx, vy, vz = bax, bay, baz, cax, cay, caz
+    wx, wy, wz = cx - bx, cy - by, cz - bz
+    e = 0
+    for scaled in (False, True):
+        d11 = ux * ux + uy * uy + uz * uz
+        d22 = vx * vx + vy * vy + vz * vz
+        l2 = max(d11, d22, wx * wx + wy * wy + wz * wz)
+        if scaled or _FAIR_L2[0] < l2 < _FAIR_L2[1]:
+            break
+        e, (ux, uy, uz, vx, vy, vz, wx, wy, wz) = _unit_scaled(ux, uy, uz, vx, vy, vz, wx, wy, wz)
     d12 = ux * vx + uy * vy + uz * vz
-    l2 = max(d11, d22, wx * wx + wy * wy + wz * wz)
     det = d11 * d22 - d12 * d12  # == |cross(b-a, c-a)|**2
     if det <= (eps * l2) ** 2:
         raise DegenerateCollinear("three points are collinear within tolerance")
@@ -149,31 +147,33 @@ def _circum3(pa, pb, pc, eps: float):
 
 
 def _circum4(pa, pb, pc, pd, eps: float):
-    """Circumsphere core on bare float triples: (ox, oy, oz, r2).
+    """Circumsphere core on bare float triples: (ox, oy, oz, r2, w).
 
-    With b, c, d taken relative to a, the centre offset is
+    ``w`` is the least barycentric weight of the centre: positive when the
+    centre lies inside the tetrahedron, so that the sphere is the min ball
+    of the four points. With b, c, d taken relative to a, the centre offset is
     ``(|b|^2 (c x d) + |c|^2 (d x b) + |d|^2 (b x c)) / (2 det)`` where
     ``det = b . (c x d)``. Coplanarity test kept in squared form to avoid
     square roots: ``det^2 <= (eps * L^3)^2`` with L the largest pairwise
-    distance of the quadruple, on offsets scaled as in ``_circum3``.
+    distance of the quadruple; offsets are scaled as in ``_circum3``.
     """
     ax, ay, az = pa
     bx, by, bz = pb[0] - ax, pb[1] - ay, pb[2] - az
     cx, cy, cz = pc[0] - ax, pc[1] - ay, pc[2] - az
     dx, dy, dz = pd[0] - ax, pd[1] - ay, pd[2] - az
-    e = math.frexp(max(abs(bx), abs(by), abs(bz), abs(cx), abs(cy), abs(cz),
-                       abs(dx), abs(dy), abs(dz)))[1]
-    bx, by, bz = math.ldexp(bx, -e), math.ldexp(by, -e), math.ldexp(bz, -e)
-    cx, cy, cz = math.ldexp(cx, -e), math.ldexp(cy, -e), math.ldexp(cz, -e)
-    dx, dy, dz = math.ldexp(dx, -e), math.ldexp(dy, -e), math.ldexp(dz, -e)
-    b2 = bx * bx + by * by + bz * bz
-    c2 = cx * cx + cy * cy + cz * cz
-    d2 = dx * dx + dy * dy + dz * dz
-    ex, ey, ez = cx - bx, cy - by, cz - bz
-    fx, fy, fz = dx - bx, dy - by, dz - bz
-    gx, gy, gz = dx - cx, dy - cy, dz - cz
-    l2 = max(b2, c2, d2, ex * ex + ey * ey + ez * ez, fx * fx + fy * fy + fz * fz,
-             gx * gx + gy * gy + gz * gz)
+    e = 0
+    for scaled in (False, True):
+        b2 = bx * bx + by * by + bz * bz
+        c2 = cx * cx + cy * cy + cz * cz
+        d2 = dx * dx + dy * dy + dz * dz
+        ex, ey, ez = cx - bx, cy - by, cz - bz
+        fx, fy, fz = dx - bx, dy - by, dz - bz
+        gx, gy, gz = dx - cx, dy - cy, dz - cz
+        l2 = max(b2, c2, d2, ex * ex + ey * ey + ez * ez, fx * fx + fy * fy + fz * fz,
+                 gx * gx + gy * gy + gz * gz)
+        if scaled or _FAIR_L2[0] < l2 < _FAIR_L2[1]:
+            break
+        e, (bx, by, bz, cx, cy, cz, dx, dy, dz) = _unit_scaled(bx, by, bz, cx, cy, cz, dx, dy, dz)
     cdx, cdy, cdz = cy * dz - cz * dy, cz * dx - cx * dz, cx * dy - cy * dx
     dbx, dby, dbz = dy * bz - dz * by, dz * bx - dx * bz, dx * by - dy * bx
     bcx, bcy, bcz = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
@@ -184,8 +184,17 @@ def _circum4(pa, pb, pc, pd, eps: float):
     x = (b2 * cdx + c2 * dbx + d2 * bcx) * f
     y = (b2 * cdy + c2 * dby + d2 * bcy) * f
     z = (b2 * cdz + c2 * dbz + d2 * bcz) * f
+    wb = 2.0 * f * (x * cdx + y * cdy + z * cdz)  # barycentric weights of the centre
+    wc = 2.0 * f * (x * dbx + y * dby + z * dbz)
+    wd = 2.0 * f * (x * bcx + y * bcy + z * bcz)
     return (ax + math.ldexp(x, e), ay + math.ldexp(y, e), az + math.ldexp(z, e),
-            math.ldexp(x * x + y * y + z * z, 2 * e))
+            math.ldexp(x * x + y * y + z * z, 2 * e), min(1.0 - wb - wc - wd, wb, wc, wd))
+
+
+def _unit_scaled(*offsets):
+    """(e, offsets * 2**-e) with the largest offset scaled into [0.5, 1): exact."""
+    e = math.frexp(max(abs(t) for t in offsets))[1]
+    return e, [math.ldexp(t, -e) for t in offsets]
 
 
 def sphere_from_three(a, b, c, tol: Tolerance | None = None) -> Sphere:
@@ -208,7 +217,7 @@ def sphere_from_four(a, b, c, d, tol: Tolerance | None = None) -> Sphere:
     distance of the quadruple.
     """
     eps = (_DEFAULT_TOL if tol is None else tol).eps_rel
-    ox, oy, oz, r2 = _circum4(_p3(a), _p3(b), _p3(c), _p3(d), eps)
+    ox, oy, oz, r2, _ = _circum4(_p3(a), _p3(b), _p3(c), _p3(d), eps)
     return Sphere(np.array((ox, oy, oz)), math.sqrt(r2))
 
 

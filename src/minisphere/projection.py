@@ -23,6 +23,7 @@ and z, so every pick is a hull vertex.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import time
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidKError, InvalidParamsError
-from .geom import _CHECK_ROWS, Sphere, _as_rows, _check_range, as_cloud, tolerance_for  # noqa: F401  tolerance_for: unused, but perfbench/spans.py hooks it
+from .geom import Sphere, as_cloud, tolerance_for  # noqa: F401  tolerance_for: unused, but perfbench/spans.py hooks it
 from .welzl import _pivot_solve, _solved_ball, welzl_solve
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -70,9 +71,8 @@ class SolveReport:
     whether a full scan or a batched round's candidates supplied them;
     ``fallback_full_solve`` says rounding stalled them and a move-to-front
     Welzl over the full cloud finished. ``timings``: ``ingest_ms``
-    (validation), ``reduce_ms`` (which range-checks the rows again within
-    its own pass), ``solve_ms`` (the reduced set's solve), ``verify_ms``
-    (the full-cloud scans and all pivots). For
+    (validation), ``reduce_ms``, ``solve_ms`` (the reduced set's solve),
+    ``verify_ms`` (the full-cloud scans and all pivots). For
     ``strategy == "welzl"``, ``k`` and ``reduced_size`` are None,
     ``repair_rounds``, ``reduce_ms`` and ``verify_ms`` are 0, and
     ``solve_ms`` is ``welzl_solve`` on the full cloud.
@@ -107,17 +107,20 @@ class SolveReport:
         }
 
 
+@functools.lru_cache(maxsize=8)
 def _fibonacci_directions(m: int) -> np.ndarray:
     """The m-point spherical Fibonacci set as an (m, 3) array of unit rows.
 
     z_i = 1 - (2i + 1)/m and phi_i = 2*pi*frac(i/Phi) with Phi the golden
-    ratio, as published by Keinert et al. (2015).
+    ratio, as published by Keinert et al. (2015). Cached, so read-only.
     """
     i = np.arange(m, dtype=np.float64)
     z = 1.0 - (2.0 * i + 1.0) / m
     phi = 2.0 * np.pi * np.mod(i / _PHI, 1.0)
     rho = np.sqrt(1.0 - z * z)
-    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    D = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    D.flags.writeable = False
+    return D
 
 
 def _lex_max(P: np.ndarray, d: np.ndarray) -> int:
@@ -143,8 +146,7 @@ def _extremes(P: np.ndarray, D: np.ndarray) -> np.ndarray:
     a chunk sets a new best, its maximum is knocked out of the buffer and
     the row's new maximum compared with it, which flags a tie inside the
     chunk. Only flagged directions take the lexicographic slow path
-    (``_lex_max``). The rows are range-checked on the way, in the row
-    blocks of ``as_cloud``, so ``reduce`` validates within its own pass.
+    (``_lex_max``).
     """
     n, m = len(P), len(D)
     c = min(n, max(1, _BLOCK_ELEMS // m))
@@ -153,12 +155,8 @@ def _extremes(P: np.ndarray, D: np.ndarray) -> np.ndarray:
     best = np.full(m, -np.inf)
     out = np.zeros(m, dtype=np.intp)
     tied = np.zeros(m, dtype=bool)
-    checked = 0
     for lo in range(0, n, c):
         Q = P[lo:lo + c]
-        while checked < lo + len(Q):  # validate ahead, in as_cloud's row blocks
-            _check_range(P[checked:checked + _CHECK_ROWS])
-            checked += _CHECK_ROWS
         S = np.matmul(D, Q.T, out=buf[:m * len(Q)].reshape(m, len(Q)))
         j = S.argmax(axis=1)
         v = S[rows, j]
@@ -196,10 +194,9 @@ def reduce(points, sel) -> ReducedSet:
     lexicographic maximum over a basis is a vertex of the tied face, so
     every pick is a convex-hull vertex.
     Output order is stable (first-seen) so downstream solves are
-    deterministic. |indices| is at most min(N, 4k). ``points`` is checked
-    as ``as_cloud`` checks it, within the reduce's own pass.
+    deterministic. |indices| is at most min(N, 4k).
     """
-    P = _as_rows(points)
+    P = as_cloud(points)
     picks = _extremes(P, _fibonacci_directions(4 * _plane_count(sel)))
     indices = np.fromiter(dict.fromkeys(picks.tolist()), dtype=np.intp)
     return ReducedSet(indices, picks)

@@ -4,7 +4,9 @@ Gaertner's pivoting ("Fast and Robust Smallest Enclosing Balls", 1999) on
 Welzl's recursion (1991): the point farthest outside the current ball is
 found with one vectorized scan, and the ball of the current support plus
 that point, with the point pinned, replaces it. Pinned sets hold at most
-four points, so no recursion is open-ended. ``projection.solve``'s repair
+four points, so no recursion is open-ended. Against a support of four,
+the new point most often replaces one of them, so that sphere is tried
+and checked before the recursion runs. ``projection.solve``'s repair
 is this loop run over the full cloud from the reduced set's ball. That
 ball is close to the answer, so on a cloud larger than one scan chunk
 the repair goes in batched rounds (Badoiu and Clarkson, "Smaller
@@ -178,21 +180,46 @@ def _pinned_ball(entries: tuple, boundary: tuple) -> _Ball:
     """Min ball of at most four ``entries`` with ``boundary`` pinned.
 
     Plain Welzl: at this size the move-to-front bookkeeping costs more
-    than the rescans it saves.
+    than the rescans it saves. A pivot against four support entries first
+    tries ``_swapped_ball``.
     """
+    if len(entries) == 4 and len(boundary) == 1:
+        ball = _swapped_ball(entries, boundary[0])
+        if ball is not None:
+            return ball
     ball = _boundary_ball(boundary)
-    far = None  # the ball's _limit, computed once it is needed
+    far = None  # the ball's _limit, computed once it tests a point
     for k, e in enumerate(entries):
         if far is None:
             far = _limit(ball)
-            cx, cy, cz = ball.c
-        (x, y, z), _ = e
-        dx, dy, dz = x - cx, y - cy, z - cz
-        if dx * dx + dy * dy + dz * dz > far:
+        if _outside(ball, e, far):
             pinned = boundary + (e,)
             ball = _pinned_ball(entries[:k], pinned) if k and len(pinned) < 4 else _boundary_ball(pinned)
             far = None
     return ball
+
+
+def _swapped_ball(entries: tuple, e) -> _Ball | None:
+    """Min ball of four support ``entries`` and an entry ``e`` outside
+    their ball, if ``e`` replaces one of them; else None.
+
+    The sphere through ``e`` and three of the entries is their min ball when
+    its centre lies inside their tetrahedron, and then the min ball of all
+    five when it holds the fourth entry too. The entry dropped is most
+    often the one nearest to ``e``, so the two nearest are tried.
+    """
+    (px, py, pz), _ = e
+    d2 = [(x - px) * (x - px) + (y - py) * (y - py) + (z - pz) * (z - pz) for (x, y, z), _ in entries]
+    for i in sorted(range(4), key=d2.__getitem__)[:2]:
+        rest = entries[:i] + entries[i + 1:]
+        try:
+            ox, oy, oz, r2, w = _circum4(e[0], rest[0][0], rest[1][0], rest[2][0], _EPS)
+        except DegenerateCoplanar:
+            continue
+        ball = _Ball((ox, oy, oz), r2, (e,) + rest)
+        if w > 0.0 and not _outside(ball, entries[i]):
+            return ball
+    return None
 
 
 def _min_ball(ctx: _Ctx, m: int, boundary: tuple) -> _Ball:
@@ -292,11 +319,12 @@ def _outside_rows(P: np.ndarray, ball: _Ball) -> np.ndarray:
     return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
 
 
-def _outside(ball: _Ball, e) -> bool:
+def _outside(ball: _Ball, e, far: float | None = None) -> bool:
+    """Whether entry ``e`` lies beyond the ball's ``_limit``, ``far`` if given."""
     (x, y, z), _ = e
     cx, cy, cz = ball.c
     dx, dy, dz = x - cx, y - cy, z - cz
-    return dx * dx + dy * dy + dz * dz > _limit(ball)
+    return dx * dx + dy * dy + dz * dz > (_limit(ball) if far is None else far)
 
 
 def _limit(ball: _Ball) -> float:
@@ -337,7 +365,7 @@ def _ball3(e1, e2, e3) -> _Ball:
 
 def _ball4(entries: tuple) -> _Ball:
     try:
-        ox, oy, oz, r2 = _circum4(entries[0][0], entries[1][0], entries[2][0], entries[3][0], _EPS)
+        ox, oy, oz, r2, _ = _circum4(entries[0][0], entries[1][0], entries[2][0], entries[3][0], _EPS)
     except DegenerateCoplanar:
         return _flat4(entries)
     return _Ball((ox, oy, oz), r2, entries)

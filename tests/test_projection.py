@@ -306,11 +306,12 @@ def test_solve_is_scale_invariant(scale):
         assert max_violation(P, rep.sphere.center, r) <= 1e-9 * r, kind
 
 
-@pytest.mark.parametrize("s", [-450, -200, 200, 450])
+@pytest.mark.parametrize("s", [-450, -200, -140, 140, 200, 450])
 def test_power_of_two_scaling_is_exact(s):
     """Scaling a cloud by 2**s scales both solvers' results exactly, far
     beyond where the cube of a squared extent leaves the double range: the
-    circumsphere cores scale their offsets to unit size first."""
+    circumsphere cores scale their offsets to unit size first once the
+    squared extent leaves [2**-300, 2**300], and +-140 stays just inside."""
     f = 2.0 ** s
     for kind in kinds():
         P = generate(kind, 1000, seed=0)
@@ -353,23 +354,3 @@ def test_offset_cloud_pivots_like_the_unit_cloud():
         assert moved.support_indices == unit.support_indices, kind
         assert rel_err(moved.sphere.radius, unit.sphere.radius) < 1e-9, kind
 
-
-@pytest.mark.parametrize("k", [1, 24])
-def test_reduce_validates_in_its_own_pass(k):
-    """``reduce`` range-checks the rows as its chunk loop reaches them: a NaN,
-    an infinity or a coordinate beyond ±1e150 in any column raises, in the
-    first row, on both sides of a range-check block boundary and in the
-    last row; ±1e150 itself passes."""
-    from minisphere.geom import _CHECK_ROWS
-
-    n = 2 * _CHECK_ROWS + 5
-    P = generate("uniform-ball", n, seed=k)
-    P[3] = (1e150, -1e150, 1e150)
-    assert len(reduce(P, k).picks) == 4 * k
-    for row in (0, _CHECK_ROWS - 1, _CHECK_ROWS, n - 1):
-        for col in range(3):
-            for bad in (math.nan, math.inf, -math.inf, np.nextafter(1e150, 2e150)):
-                Q = P.copy()
-                Q[row, col] = bad
-                with pytest.raises(InvalidGeometryError):
-                    reduce(Q, k)

@@ -228,13 +228,13 @@ def test_solve_falls_back_when_pivoting_stalls(monkeypatch):
 
 def test_solve_falls_back_on_a_stalling_cloud():
     """A real input stalls the full-cloud pivots at the default bands: a
-    co-spherical shell of 1e5 points moved to 1e4, from the k = 24 reduced
+    co-spherical shell of 3e4 points moved to 1e6, from the k = 24 reduced
     set's ball. Move-to-front finishes the solve within about one ulp.
 
     The ``fallback_full_solve`` assertion records today's rounding stall so
     that the fallback is covered on a real input; a change that stops the
     pivots stalling here should pick another stalling cloud for this test."""
-    P = generate("co-spherical", 100_000, seed=5) + 1e4
+    P = generate("co-spherical", 30_000, seed=2) + 1e6
     rep = projection.solve(P, sel=24, seed=0)
     ref, _ = welzl_solve(P, seed=0)
     r = rep.sphere.radius
@@ -339,3 +339,31 @@ def test_solve_scans_the_full_cloud_few_times(kind, monkeypatch):
     assert ends == [], kind
     assert rel_err(rep.sphere.radius, ref.radius) < 1e-12, kind
     assert max_violation(P, rep.sphere.center, rep.sphere.radius) <= 1e-12 * rep.sphere.radius, kind
+
+
+def test_swapped_ball_is_the_plain_welzl_ball(monkeypatch):
+    """A pivot against four support points: the sphere ``_swapped_ball``
+    keeps is the min ball plain Welzl builds, with the same support, on
+    random tetrahedra around the centre and points just outside their
+    sphere; a third of these random steps keep it (real pivots, which take
+    the farthest point, keep it more often)."""
+    rng = np.random.default_rng(11)
+    cases = []
+    while len(cases) < 300:
+        u = rng.normal(size=(4, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        entries = tuple((tuple(p.tolist()), i) for i, p in enumerate(u))
+        start = welzl._pinned_ball(entries[:3], (entries[3],))
+        if len(start.support) < 4:
+            continue  # the centre is outside the tetrahedron: not a four-point support
+        q = rng.normal(size=3)
+        q *= rng.uniform(1.0001, 1.5) / np.linalg.norm(q)
+        cases.append((start.support, ((tuple(q.tolist()), 4),)))
+    fast = [welzl._pinned_ball(support, e) for support, e in cases]
+    kept = sum(welzl._swapped_ball(support, e[0]) is not None for support, e in cases)
+    monkeypatch.setattr(welzl, "_swapped_ball", lambda *a: None)
+    for (support, e), ball in zip(cases, fast):
+        plain = welzl._pinned_ball(support, e)
+        assert sorted(i for _, i in ball.support) == sorted(i for _, i in plain.support)
+        assert rel_err(ball.r2, plain.r2) < 1e-13
+    assert kept >= len(cases) // 4, kept
