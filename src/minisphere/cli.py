@@ -157,7 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--k", type=_k_arg, default=None,
                          help="projection plane count, or 'auto'")
     p_solve.add_argument("--seed", type=_seed_value, default=None,
-                         help="shuffle seed (default: $MINISPHERE_SEED or 0)")
+                         help="seed recorded in the report; the solve does not read it "
+                              "(default: $MINISPHERE_SEED or 0)")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate a seeded point cloud file")

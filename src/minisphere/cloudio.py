@@ -56,13 +56,18 @@ def _load_csv(text: str) -> list:
         tokens = [t.strip() for t in line.split(",")]
         if first_data:
             first_data = False
-            # optional header row: all fields non-numeric
-            try:
-                [float(t) for t in tokens]
-            except ValueError:
-                continue
+            if not any(map(_is_float, tokens)):
+                continue  # optional header row: no field is numeric
         rows.append(_triple(tokens, lineno))
     return rows
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _load_xyz(text: str) -> list:

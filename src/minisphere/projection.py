@@ -69,13 +69,14 @@ class SolveReport:
 
     ``repair_rounds`` counts the pivots after the reduced set's solve,
     whether a full scan or a batched round's candidates supplied them;
-    ``fallback_full_solve`` says rounding stalled them and a move-to-front
-    Welzl over the full cloud finished. ``timings``: ``ingest_ms``
-    (validation), ``reduce_ms``, ``solve_ms`` (the reduced set's solve),
-    ``verify_ms`` (the full-cloud scans and all pivots). For
-    ``strategy == "welzl"``, ``k`` and ``reduced_size`` are None,
-    ``repair_rounds``, ``reduce_ms`` and ``verify_ms`` are 0, and
-    ``solve_ms`` is ``welzl_solve`` on the full cloud.
+    ``exact_pivots`` counts those taken in exact arithmetic: the first
+    pivot whose float ball rounding kept from growing, and every later
+    one. ``timings``: ``ingest_ms`` (validation), ``reduce_ms``,
+    ``solve_ms`` (the reduced set's solve), ``verify_ms`` (the full-cloud
+    scans and all pivots). For ``strategy == "welzl"``, ``k`` and
+    ``reduced_size`` are None, ``repair_rounds``, ``exact_pivots``,
+    ``reduce_ms`` and ``verify_ms`` are 0, and ``solve_ms`` is
+    ``welzl_solve`` on the full cloud.
     """
 
     sphere: Sphere
@@ -87,7 +88,7 @@ class SolveReport:
     timings: dict
     input_count: int
     seed: int
-    fallback_full_solve: bool = False
+    exact_pivots: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -103,7 +104,7 @@ class SolveReport:
             "timings": {key: float(val) for key, val in self.timings.items()},
             "input_count": self.input_count,
             "seed": self.seed,
-            "fallback_full_solve": self.fallback_full_solve,
+            "exact_pivots": self.exact_pivots,
         }
 
 
@@ -223,7 +224,8 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
     sel : KSelection, bare plane count, or None (auto: select_k(N)). Any
         other value must be a positive integer count, or InvalidKError is
         raised, as in ``reduce``. Only the projection strategy reads it.
-    seed : seeds the shuffle of the move-to-front fallback, in every solve.
+    seed : recorded in the report; the solve is deterministic and does
+        not read it.
     strategy : "projection" (reduce, solve, verify and repair) or "welzl"
         (``welzl_solve`` on the full cloud); anything else raises
         InvalidParamsError.
@@ -237,10 +239,9 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
     also gathers the farthest outside row of every 64-row block, and the
     pivots run over those in memory before the next scan; the loop ends
     on a full scan that finds no point outside. Each pivot is a repair
-    round. If rounding stalls the pivoting, a move-to-front Welzl over the
-    full cloud finishes the solve and ``fallback_full_solve`` says so.
-    With "welzl",
-    ``k`` and ``reduced_size`` are None, ``repair_rounds`` is 0, and
+    round. If rounding stalls a pivot, that pivot and all later ones are
+    taken in exact arithmetic and ``exact_pivots`` counts them. With
+    "welzl", ``k`` and ``reduced_size`` are None, ``repair_rounds`` is 0, and
     everything after ingest is timed as ``solve_ms``.
 
     There is no tolerance argument and no cloud scale: every band is
@@ -256,7 +257,7 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
         t_in = t1 = time.perf_counter()  # no reduce stage
         sphere, support = welzl_solve(P, seed=seed)
         t2 = t3 = time.perf_counter()
-        pivots, stalled = 0, False
+        pivots = exact = 0
     else:
         t_in = time.perf_counter()
         k = _plane_count(select_k(len(P)) if sel is None else sel)
@@ -266,7 +267,7 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
         small, sup = welzl_solve(P[rset.indices], seed=seed)
         t2 = time.perf_counter()
         start = _solved_ball(P, small, rset.indices[list(sup.indices)].tolist())
-        sphere, support, pivots, stalled = _pivot_solve(P, start, seed)
+        sphere, support, pivots, exact = _pivot_solve(P, start)
         t3 = time.perf_counter()
 
     return SolveReport(
@@ -284,5 +285,5 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
         },
         input_count=len(P),
         seed=int(seed),
-        fallback_full_solve=stalled,
+        exact_pivots=exact,
     )

@@ -16,26 +16,25 @@ candidates in memory before the next full scan. ``welzl_solve`` starts
 from four arbitrary rows, far from the answer, where such rounds cost
 more than the scans they save on some kinds, so it finds each pivot with
 a full scan. Either loop ends only on a full scan that finds no point
-outside. If rounding stalls the pivoting, a move-to-front Welzl scan over
-a shuffled copy finishes the solve. It keeps one array per coordinate,
-reordered in place, and looks for the first point outside with a chunked
-vectorized scan.
-Near-co-spherical inputs drive the ball constructors hard, so all
-candidate-sphere math runs on bare floats.
+outside. Near-co-spherical inputs drive the ball constructors hard, so
+all candidate-sphere math runs on bare floats, with two exceptions that
+use exact rational arithmetic on at most five points (``_exact_ball``):
+four pinned points that are coplanar, and every pivot from the first
+one whose float ball did not grow on. An exact ball is the exact min ball
+of its support, so from then on each pivot grows the exact radius and
+the loop ends.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateCollinear, DegenerateCoplanar, EmptyInputError
+from .errors import DegenerateCollinear, DegenerateCoplanar
 from .geom import _DEFAULT_TOL, Sphere, _circum3, _circum4, as_cloud
 
-_CHUNK = 8192
 _SCAN_CHUNK = 32768  # rows per farthest-point scan chunk: two 256 kB buffers
 _BLOCK = 64  # rows per candidate block of a batched scan; divides _SCAN_CHUNK; 128 and 256 took 5 scans where 64 took 2
 # relative slack on r^2 in outside tests: ~1800 ulps, room for a constructed ball's rounding
@@ -57,44 +56,14 @@ class _Ball(NamedTuple):
     support: tuple  # entries are ((x, y, z), id)
 
 
-class _Ctx:
-    """Coordinates in solve order and their input rows.
-
-    One contiguous array per coordinate and one of input rows, which the
-    move-to-front rule reorders in place.
-    """
-
-    __slots__ = ("xs", "ys", "zs", "ids")
-
-    def __init__(self, xs, ys, zs, ids):
-        self.xs, self.ys, self.zs, self.ids = xs, ys, zs, ids
-
-    @classmethod
-    def of(cls, P: np.ndarray, order: np.ndarray) -> "_Ctx":
-        """Rows ``order`` of P; ``order`` becomes the ids array."""
-        return cls(P[order, 0], P[order, 1], P[order, 2], order)
-
-    def entry(self, row: int):
-        return ((float(self.xs[row]), float(self.ys[row]), float(self.zs[row])), int(self.ids[row]))
-
-    def to_front(self, row: int) -> None:
-        """Move position ``row`` to position 0, shifting [0, row) up by one."""
-        if row == 0:
-            return
-        for seq in (self.xs, self.ys, self.zs, self.ids):
-            head = seq[row]
-            seq[1:row + 1] = seq[:row]
-            seq[0] = head
-
-
 def welzl_solve(points, seed: int = 0) -> tuple[Sphere, SupportSet]:
     """Smallest enclosing sphere of a 3D point cloud.
 
     Parameters
     ----------
     points : (N, 3) array-like, N >= 1.
-    seed : int, seeds the shuffle of the move-to-front fallback, which
-        runs only if rounding stalls the pivoting.
+    seed : int, accepted for callers that pass one; the solve is
+        deterministic and does not read it.
 
     Returns
     -------
@@ -109,25 +78,20 @@ def welzl_solve(points, seed: int = 0) -> tuple[Sphere, SupportSet]:
     solve by passing those rows first: then no pivot is needed.
     """
     P = as_cloud(points)
-    return _pivot_solve(P, range(min(len(P), 4)), seed)[:2]
+    return _pivot_solve(P, range(min(len(P), 4)))[:2]
 
 
-def _pivot_solve(P: np.ndarray, start, seed: int) -> tuple[Sphere, SupportSet, int, bool]:
+def _pivot_solve(P: np.ndarray, start) -> tuple[Sphere, SupportSet, int, int]:
     """Min ball of the rows of P, pivoting from ``start`` (see ``_pivot_ball``).
 
-    Returns the sphere, its support, the number of pivots taken and
-    whether rounding stalled them, in which case a move-to-front Welzl
-    over a ``seed``-shuffled copy of P finished the solve.
+    Returns the sphere, its support, the number of pivots taken and how
+    many of them were exact.
     """
-    ball, pivots = _pivot_ball(P, start)
-    stalled = ball is None
-    if stalled:
-        order = np.random.default_rng(seed).permutation(len(P))
-        ball = _min_ball(_Ctx.of(P, order), len(P), ())
+    ball, pivots, exact = _pivot_ball(P, start)
     rows = sorted({i for (_, i) in ball.support})
     support = SupportSet(tuple(rows), P[rows].copy())
     sphere = Sphere(np.array(ball.c, dtype=np.float64), math.sqrt(max(ball.r2, 0.0)))
-    return sphere, support, pivots, stalled
+    return sphere, support, pivots, exact
 
 
 def _solved_ball(P: np.ndarray, sphere: Sphere, rows) -> _Ball:
@@ -135,15 +99,19 @@ def _solved_ball(P: np.ndarray, sphere: Sphere, rows) -> _Ball:
     return _Ball(tuple(sphere.center.tolist()), sphere.radius * sphere.radius, tuple(_row(P, i) for i in rows))
 
 
-def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball | None, int]:
-    """Min ball of the rows of P by Gaertner's pivoting, and its pivot count.
+def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball, int, int]:
+    """Min ball of the rows of P by Gaertner's pivoting, its pivot count
+    and how many of those pivots were exact.
 
     ``start`` is either one to four rows of P, whose exact min ball (plain
     Welzl) starts the pivoting, or a ``_Ball`` that already is the min ball
     of a subset of P (``_solved_ball``). Each pivot is the row farthest
     outside the ball; the min ball of the current support plus the pivot,
     with the pivot pinned, replaces the ball, so the radius grows every
-    pivot and the loop ends. The ball is None if rounding stalls the growth.
+    pivot and the loop ends. The first time rounding keeps that float ball
+    from growing, the pivot is redone by ``_exact_ball`` on the support
+    and the pivot, and so is every later pivot: the exact radius then
+    grows strictly, as ``_limit`` covers the rounding of the stored ball.
 
     From rows, each pivot is found by a full scan. A solved subset's ball
     is close to the answer, and a cloud larger than one scan chunk then
@@ -162,18 +130,20 @@ def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball | None, int]:
         for k in range(1, len(first)):
             if _outside(ball, first[k]):
                 ball = _pinned_ball(first[:k], (first[k],))
-    pivots = 0
+    pivots = exact = 0
     while True:
         rows = _outside_rows(P, ball) if batched else None
         Q = P if rows is None else P[rows]
         while (j := _farthest_outside(Q, ball)) >= 0:
-            grown = _pinned_ball(ball.support, ((tuple(Q[j].tolist()), j if rows is None else int(rows[j])),))
-            pivots += 1
-            if not grown.r2 > ball.r2:
-                return None, pivots
+            e = (tuple(Q[j].tolist()), j if rows is None else int(rows[j]))
+            grown = None if exact else _pinned_ball(ball.support, (e,))
+            if grown is None or not grown.r2 > ball.r2:
+                grown = _exact_ball(ball.support + (e,))
+                exact += 1
             ball = grown
+            pivots += 1
         if rows is None or not len(rows):
-            return ball, pivots
+            return ball, pivots, exact
 
 
 def _pinned_ball(entries: tuple, boundary: tuple) -> _Ball:
@@ -220,52 +190,6 @@ def _swapped_ball(entries: tuple, e) -> _Ball | None:
         if w > 0.0 and not _outside(ball, entries[i]):
             return ball
     return None
-
-
-def _min_ball(ctx: _Ctx, m: int, boundary: tuple) -> _Ball:
-    """Min ball of positions [0, m) with ``boundary`` pinned on the sphere.
-
-    Move-to-front (Gaertner 1999): a point found outside is solved against
-    the prefix before it, then moved to the front, where later rescans of
-    the prefix meet it first. The scan continues after its old position.
-    """
-    if boundary:
-        ball = _boundary_ball(boundary)
-        start = 0
-    else:
-        if m == 0:
-            raise EmptyInputError("no points")
-        ball = _ball1(ctx.entry(0))
-        start = 1
-    while True:
-        j = _first_outside(ctx, ball, start, m)
-        if j < 0:
-            return ball
-        e = ctx.entry(j)
-        if len(boundary) == 3:
-            # four pinned points determine the sphere outright
-            ball = _ball4(boundary + (e,))
-        else:
-            ball = _min_ball(ctx, j, boundary + (e,))
-        ctx.to_front(j)
-        start = j + 1
-
-
-def _first_outside(ctx: _Ctx, ball: _Ball, start: int, stop: int) -> int:
-    if start >= stop:
-        return -1
-    cx, cy, cz = ball.c
-    thr = _limit(ball)
-    xs, ys, zs = ctx.xs, ctx.ys, ctx.zs
-    for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        d2 = np.square(xs[lo:hi] - cx)
-        d2 += np.square(ys[lo:hi] - cy)
-        d2 += np.square(zs[lo:hi] - cz)
-        bad = d2 > thr
-        if bad.any():
-            return lo + int(bad.argmax())
-    return -1
 
 
 def _sq_dist(Q: np.ndarray, c, d: np.ndarray, s: np.ndarray) -> None:
@@ -367,47 +291,54 @@ def _ball4(entries: tuple) -> _Ball:
     try:
         ox, oy, oz, r2, _ = _circum4(entries[0][0], entries[1][0], entries[2][0], entries[3][0], _EPS)
     except DegenerateCoplanar:
-        return _flat4(entries)
+        return _exact_ball(entries)
     return _Ball((ox, oy, oz), r2, entries)
 
 
-def _flat4(entries: tuple) -> _Ball:
-    """Min enclosing ball of four coplanar points: pair and triple candidates."""
-    pts = [e[0] for e in entries]
-    l2 = 0.0
-    for (ax, ay, az), (bx, by, bz) in combinations(pts, 2):
-        dx, dy, dz = ax - bx, ay - by, az - bz
-        l2 = max(l2, dx * dx + dy * dy + dz * dz)
-    lam = _EPS * math.sqrt(l2)
+def _exact_ball(entries: tuple) -> _Ball:
+    """Min ball of at most five ``entries`` in exact arithmetic, rounded.
 
-    cands = []
-    for i, j in combinations(range(4), 2):
-        cands.append(_ball2(entries[i], entries[j]))
-    for i, j, k in combinations(range(4), 3):
-        try:
-            ox, oy, oz, r2 = _circum3(entries[i][0], entries[j][0], entries[k][0], _EPS)
-        except DegenerateCollinear:
-            continue  # its extreme pair is already a candidate
-        cands.append(_Ball((ox, oy, oz), r2, (entries[i], entries[j], entries[k])))
+    Plain Welzl on ``Fraction`` coordinates. The sphere through a pinned
+    set has its centre in their affine hull: the offset from the first
+    pinned point is a combination of the offsets v_i of the others, whose
+    weights solve the Gram system (v_i . v_j) w = |v_i|^2 / 2 by
+    Gauss-Jordan. A pinned point in the affine hull of the others gets
+    weight 0. The support is the pinned set of the exact ball, whose min
+    ball it is; only the centre and the squared radius are rounded.
+    """
+    from fractions import Fraction  # imported here: loading it costs every import of the package ~2 ms
 
-    best = None
-    least_bad = None
-    for ball in cands:
-        cx, cy, cz = ball.c
-        d2 = 0.0
-        for px, py, pz in pts:
-            dx, dy, dz = px - cx, py - cy, pz - cz
-            d2 = max(d2, dx * dx + dy * dy + dz * dz)
-        lim = math.sqrt(ball.r2) + lam
-        if d2 <= lim * lim:
-            if best is None or ball.r2 < best.r2:
-                best = ball
-        gap = d2 - ball.r2
-        if least_bad is None or gap < least_bad[0]:
-            least_bad = (gap, ball)
-    if best is not None:
-        return best
-    return least_bad[1]  # nothing enclosed within band; least-violating candidate
+    pts = [tuple(map(Fraction, p)) for p, _ in entries]
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    def through(pinned):
+        q = pts[pinned[0]]
+        vs = [[a - b for a, b in zip(pts[i], q)] for i in pinned[1:]]
+        m = len(vs)
+        rows = [[dot(u, v) for v in vs] + [dot(u, u) / 2] for u in vs]
+        for k in range(m):
+            if not rows[k][k]:  # v_k is in the span of the earlier v; the Gram matrix is PSD, so its row is 0
+                rows[k] = [0] * (m + 1)
+                continue
+            rows[k] = [x / rows[k][k] for x in rows[k]]
+            for i in range(m):
+                if i != k and rows[i][k]:
+                    f = rows[i][k]
+                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+        off = [sum(row[m] * v[t] for row, v in zip(rows, vs)) for t in range(3)]
+        return [a + b for a, b in zip(q, off)], dot(off, off), pinned
+
+    def welzl(n, pinned):  # min ball of pts[:n] with ``pinned`` on its boundary
+        ball = through(pinned) if pinned else None
+        for i in range(n):
+            if ball is None or dot(d := [a - b for a, b in zip(pts[i], ball[0])], d) > ball[1]:
+                ball = welzl(i, pinned + (i,)) if len(pinned) < 3 else through(pinned + (i,))
+        return ball
+
+    c, r2, pinned = welzl(len(pts), ())
+    return _Ball(tuple(float(x) for x in c), float(r2), tuple(entries[i] for i in pinned))
 
 
 def _boundary_ball(boundary: tuple) -> _Ball:

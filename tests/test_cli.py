@@ -37,7 +37,7 @@ def test_solve_cube(capsys, cube_csv):
     assert doc["k"] == 6
     assert doc["input_count"] == 9
     assert doc["seed"] == 42
-    assert doc["fallback_full_solve"] is False
+    assert doc["exact_pivots"] == 0
     assert isinstance(doc["support_indices"], list)
     assert set(doc["timings"]) == {"ingest_ms", "reduce_ms", "solve_ms", "verify_ms"}
 

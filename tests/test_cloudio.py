@@ -55,6 +55,13 @@ def test_parse_error_carries_line_number(tmp_path):
         load_points(q)
     assert ei.value.line == 2
 
+    # a first row with one numeric field is data, not a header
+    h = tmp_path / "half.csv"
+    h.write_text("1.0,abc,3\n0,0,0\n1,1,1\n")
+    with pytest.raises(ParseError) as ei:
+        load_points(h)
+    assert ei.value.line == 1
+
 
 def test_json_structure_checks(tmp_path):
     p = tmp_path / "a.json"

@@ -197,7 +197,7 @@ class TestSolve:
         d = rep.to_dict()
         assert set(d) == {
             "sphere", "support_indices", "strategy", "k", "reduced_size",
-            "repair_rounds", "timings", "input_count", "seed", "fallback_full_solve",
+            "repair_rounds", "timings", "input_count", "seed", "exact_pivots",
         }
         assert set(d["timings"]) == {"ingest_ms", "reduce_ms", "solve_ms", "verify_ms"}
         assert set(d["sphere"]) == {"center", "radius"}
@@ -217,7 +217,7 @@ class TestSolve:
             assert rep.sphere.radius == ref.radius, kind
             assert rep.support_indices == sup.indices, kind
             assert (rep.strategy, rep.k, rep.reduced_size, rep.repair_rounds) == ("welzl", None, None, 0)
-            assert not rep.fallback_full_solve
+            assert rep.exact_pivots == 0
             assert rep.timings["reduce_ms"] == rep.timings["verify_ms"] == 0.0
             assert rep.timings["solve_ms"] > 0.0
 
@@ -286,7 +286,7 @@ def test_noisy_shell_repair_is_bounded(monkeypatch):
         sizes.clear()
         rep = solve(P, sel=sel, seed=0)
         assert sizes and max(sizes) <= 4 * rep.k, sel
-        assert not rep.fallback_full_solve, sel
+        assert rep.exact_pivots == 0, sel
         assert rep.repair_rounds <= 16, sel
         assert rel_err(rep.sphere.radius, full.radius) < 1e-12, sel
 
@@ -349,7 +349,7 @@ def test_offset_cloud_pivots_like_the_unit_cloud():
         P = generate(kind, 10_000, seed=i)
         unit = solve(P, seed=i)
         moved = solve(P + 1e6, seed=i)
-        assert not moved.fallback_full_solve, kind
+        assert moved.exact_pivots == 0, kind
         assert moved.repair_rounds == unit.repair_rounds, kind
         assert moved.support_indices == unit.support_indices, kind
         assert rel_err(moved.sphere.radius, unit.sphere.radius) < 1e-9, kind

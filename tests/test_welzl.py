@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,46 +137,33 @@ def _family(kind, n):
     return generate(kind, n, seed=3)
 
 
-def _move_to_front(P, seed):
-    """Move-to-front Welzl on a shuffled copy of P, and the context it reordered."""
-    ctx = welzl._Ctx.of(P, np.random.default_rng(seed).permutation(len(P)))
-    return welzl._min_ball(ctx, len(P), ()), ctx
-
-
 @pytest.mark.parametrize("n", [60, 5000])
 @pytest.mark.parametrize("kind", ["co-spherical", "coplanar-disk", "collinear", "duplicates"])
 def test_pivoting_and_move_to_front_agree(kind, n):
+    """Pivoting returns the radii recorded from the restart-from-0 scan,
+    which move-to-front Welzl also returned while the package had it."""
     P = _family(kind, n)
     got, support = welzl_solve(P, seed=3)
-    ball, ctx = _move_to_front(P, 3)
     assert rel_err(got.radius, _OLD_RADII[kind, n]) < 1e-12
-    assert rel_err(math.sqrt(ball.r2), got.radius) < 1e-12
     assert max_violation(P, got.center, got.radius) <= 1e-12
     if n <= 80:
         assert rel_err(got.radius, brute_force_ses(P).radius) < 1e-9
-    # the in-place reordering moved rows and kept each with its coordinates
-    ids = np.asarray(ctx.ids)
-    assert sorted(ids.tolist()) == list(range(n))
-    assert not np.array_equal(ids, np.random.default_rng(3).permutation(n))
-    assert np.array_equal(np.column_stack([ctx.xs, ctx.ys, ctx.zs]), P[ids])
 
 
-def test_flat4_fallback_in_move_to_front(monkeypatch):
+def test_coplanar_pinned_four_take_the_exact_ball(monkeypatch):
     """Three pinned corners of a right triangle and a free point in their
     plane, outside their circle: no sphere passes through all four, so
-    _ball4 falls back to _flat4, whose smallest enclosing candidate is the
-    ball on the segment from the origin to the free point."""
+    _ball4 takes the exact min ball of the four, the ball on the segment
+    from the origin to the free point."""
     calls = []
-    real = welzl._flat4
-    monkeypatch.setattr(welzl, "_flat4", lambda *a: calls.append(1) or real(*a))
-    cols = (np.array([0.2, 3.0]), np.array([0.2, 3.0]), np.array([0.0, 0.0]))
-    ctx = welzl._Ctx(*cols, np.array([0, 1]))
+    real = welzl._exact_ball
+    monkeypatch.setattr(welzl, "_exact_ball", lambda *a: calls.append(1) or real(*a))
     boundary = tuple(((x, y, 0.0), -1 - i) for i, (x, y) in enumerate([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
-    ball = welzl._min_ball(ctx, 2, boundary)
+    ball = welzl._pinned_ball((((3.0, 3.0, 0.0), 1),), boundary)
     assert calls
     assert rel_err(math.sqrt(ball.r2), 1.5 * math.sqrt(2.0)) < 1e-15
     assert np.allclose(ball.c, (1.5, 1.5, 0.0), rtol=0, atol=1e-15)
-    assert np.asarray(ctx.ids).tolist() == [1, 0]  # the free point moved to the front
+    assert sorted(i for _, i in ball.support) == [-1, 1]
 
 
 def test_noisy_shell_repaired_subset(monkeypatch):
@@ -188,11 +176,9 @@ def test_noisy_shell_repaired_subset(monkeypatch):
     rep = projection.solve(P, sel=6, seed=0)
     assert len(subsets) == 1
     assert np.array_equal(subsets[0], P[projection.reduce(P, 6).indices])
-    assert rep.repair_rounds >= 1 and not rep.fallback_full_solve
+    assert rep.repair_rounds >= 1 and rep.exact_pivots == 0
     full, _ = welzl_solve(P, seed=0)
-    ball, _ = _move_to_front(P, 0)
     assert rel_err(rep.sphere.radius, full.radius) < 1e-12
-    assert rel_err(math.sqrt(ball.r2), full.radius) < 1e-12
 
 
 def test_start_ball_is_exact_in_every_order():
@@ -202,24 +188,34 @@ def test_start_ball_is_exact_in_every_order():
     Q = generate("uniform-ball", 30, seed=1)[[11, 8, 13, 17]]
     want = brute_force_ses(Q).radius
     for order in itertools.permutations(range(4)):
-        ball, pivots = welzl._pivot_ball(Q[list(order)], range(4))
-        assert pivots == 0, order
+        ball, pivots, exact = welzl._pivot_ball(Q[list(order)], range(4))
+        assert pivots == exact == 0, order
         assert rel_err(math.sqrt(ball.r2), want) < 1e-12, order
 
 
 def test_solve_falls_back_when_pivoting_stalls(monkeypatch):
-    """If rounding stalls the full-cloud pivots, move-to-front finishes."""
+    """If rounding keeps a full-cloud pivot's float ball from growing,
+    that pivot and every later one are exact, and they finish the solve.
+
+    The stall is forced: the first full-cloud pivot's ``_pinned_ball``
+    returns the current ball, the reduced set's ball. Later pivots do not
+    call ``_pinned_ball``."""
     P = generate("uniform-ball", 5000, seed=2)
     ref, _ = welzl_solve(P, seed=0)
-    real = welzl._pivot_ball
+    real_pinned, real_solve = welzl._pinned_ball, projection._pivot_solve
+    starts = []
 
-    def stall_on_full_cloud(Q, start):
-        ball, pivots = real(Q, start)
-        return (None, pivots) if len(Q) == len(P) else (ball, pivots)
+    def pivot_solve(Q, start):
+        starts.append(start)
+        return real_solve(Q, start)
 
-    monkeypatch.setattr(welzl, "_pivot_ball", stall_on_full_cloud)
+    def stall_on_full_cloud(entries, boundary):
+        return starts[-1] if starts and len(boundary) == 1 else real_pinned(entries, boundary)
+
+    monkeypatch.setattr(projection, "_pivot_solve", pivot_solve)
+    monkeypatch.setattr(welzl, "_pinned_ball", stall_on_full_cloud)
     rep = projection.solve(P, sel=1, seed=0)
-    assert rep.fallback_full_solve
+    assert rep.exact_pivots == rep.repair_rounds >= 1
     assert rel_err(rep.sphere.radius, ref.radius) < 1e-12
     assert max_violation(P, rep.sphere.center, rep.sphere.radius) <= 1e-12
     for i in rep.support_indices:
@@ -229,18 +225,84 @@ def test_solve_falls_back_when_pivoting_stalls(monkeypatch):
 def test_solve_falls_back_on_a_stalling_cloud():
     """A real input stalls the full-cloud pivots at the default bands: a
     co-spherical shell of 3e4 points moved to 1e6, from the k = 24 reduced
-    set's ball. Move-to-front finishes the solve within about one ulp.
+    set's ball. Exact pivots finish the solve within about one ulp.
 
-    The ``fallback_full_solve`` assertion records today's rounding stall so
-    that the fallback is covered on a real input; a change that stops the
+    The ``exact_pivots`` assertion records today's rounding stall so that
+    the exact path is covered on a real input; a change that stops the
     pivots stalling here should pick another stalling cloud for this test."""
     P = generate("co-spherical", 30_000, seed=2) + 1e6
     rep = projection.solve(P, sel=24, seed=0)
     ref, _ = welzl_solve(P, seed=0)
     r = rep.sphere.radius
-    assert rep.fallback_full_solve
+    assert rep.exact_pivots >= 1
     assert max_violation(P, rep.sphere.center, r) <= 1e-9 * r
     assert rel_err(r, ref.radius) < 1e-9
+
+
+def _det(M):
+    """Determinant by cofactor expansion along the first row."""
+    if not M:
+        return Fraction(1)
+    return sum((-1) ** j * M[0][j] * _det([row[:j] + row[j + 1:] for row in M[1:]]) for j in range(len(M)))
+
+
+def _exact_reference_r2(pts):
+    """Least squared radius of a ``Fraction`` sphere through an affinely
+    independent subset of ``pts`` that holds every point, by Cramer's rule
+    on each subset's Gram system."""
+    best = None
+    for m in range(1, min(len(pts), 4) + 1):
+        for sub in itertools.combinations(pts, m):
+            vs = [[a - b for a, b in zip(p, sub[0])] for p in sub[1:]]
+            G = [[sum(a * b for a, b in zip(u, v)) for v in vs] for u in vs]
+            det = _det(G)
+            if not det:
+                continue  # affinely dependent
+            rhs = [sum(a * a for a in u) / 2 for u in vs]
+            w = [_det([row[:i] + [h] + row[i + 1:] for row, h in zip(G, rhs)]) / det for i in range(len(vs))]
+            c = [q + sum(wi * v[t] for wi, v in zip(w, vs)) for t, q in enumerate(sub[0])]
+            r2 = sum((a - b) ** 2 for a, b in zip(sub[0], c))
+            if all(sum((a - b) ** 2 for a, b in zip(p, c)) <= r2 for p in pts) and (best is None or r2 < best):
+                best = r2
+    return best
+
+
+def _small_integer_sets(rng):
+    """Sets of 2 to 5 integer points: generic, coplanar, concyclic,
+    collinear, with duplicates and co-spherical, each moved by an integer offset."""
+    sphere9 = [p for p in itertools.product(range(-3, 4), repeat=3) if sum(x * x for x in p) == 9]
+    circle25 = [(x, y, 0) for x, y in itertools.product(range(-5, 6), repeat=2) if x * x + y * y == 25]
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        u, w = rng.integers(-3, 4, size=(2, 3))
+        ij = rng.integers(-4, 5, size=(n, 2))
+        yield {
+            "generic": rng.integers(-9, 10, size=(n, 3)),
+            "coplanar": ij[:, :1] * u + ij[:, 1:] * w,
+            "concyclic": np.array(circle25)[rng.choice(len(circle25), n, replace=False)],
+            "collinear": ij[:, :1] * u,
+            "duplicates": rng.integers(-2, 3, size=(3, 3))[rng.integers(0, 3, size=n)],
+            "co-spherical": np.array(sphere9)[rng.choice(len(sphere9), n, replace=False)],
+        }.items(), rng.integers(-10**6, 10**6, size=3)
+
+
+def test_exact_ball_matches_exhaustive_exact_search():
+    """``_exact_ball`` on at most five integer points returns the rounded
+    squared radius of the least exact sphere through an affinely independent
+    subset that holds every point, on generic and degenerate sets near the
+    origin and at an offset of about 1e6. Its support has that same least
+    sphere: the ball is the exact min ball of its support."""
+    rng = np.random.default_rng(5)
+    for sets, offset in _small_integer_sets(rng):
+        for kind, Q in sets:
+            for shift in (np.zeros(3, dtype=np.int64), offset):
+                pts = [tuple(map(Fraction, map(int, p))) for p in Q + shift]
+                entries = tuple((tuple(map(float, p)), i) for i, p in enumerate(pts))
+                ball = welzl._exact_ball(entries)
+                want = float(_exact_reference_r2(pts))
+                assert ball.r2 == want, (kind, Q.tolist(), shift.tolist())
+                support = [pts[i] for _, i in ball.support]
+                assert len(support) <= 4 and float(_exact_reference_r2(support)) == want, (kind, Q.tolist())
 
 
 def _farthest_reference(P, ball):
