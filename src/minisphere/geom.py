@@ -48,17 +48,20 @@ class Tolerance(NamedTuple):
 _DEFAULT_TOL = Tolerance()
 _CHECK_ROWS = 32768  # rows per range-check chunk: 768 kB, so max() rereads min()'s rows from cache
 _MAX_COORD = 1e150  # beyond it, squared distances leave the double range
+_TINY_COORD = 2.0 ** -400  # below it, a cloud is solved scaled to unit size (``_unit_exponent``)
 # squared extents at which the circumsphere cores need no scaling: their
 # cubes and every product they form stay far from over- and underflow
 _FAIR_L2 = (2.0 ** -300, 2.0 ** 300)
 
 
-def as_cloud(points) -> np.ndarray:
+def as_cloud(points, max_abs: bool = False):
     """Validate and normalize a point cloud to a C-contiguous (N, 3) float64 array.
 
     An empty cloud raises EmptyInputError; a coordinate that is not finite
     or lies beyond ±1e150, where squared distances overflow, raises
-    InvalidGeometryError. Chunked min and max: no (N, 3) temporary.
+    InvalidGeometryError. Chunked min and max: no (N, 3) temporary. With
+    ``max_abs``, returns the array and its largest |coordinate|, which the
+    same min and max give.
     """
     P = np.asarray(points, dtype=np.float64)
     if P.ndim == 1 and P.size == 0:
@@ -67,11 +70,28 @@ def as_cloud(points) -> np.ndarray:
         raise InvalidGeometryError(f"expected an (N, 3) point array, got shape {P.shape}")
     if P.shape[0] == 0:
         raise EmptyInputError("point cloud is empty")
+    m = 0.0
     for lo in range(0, len(P), _CHECK_ROWS):
         Q = P[lo:lo + _CHECK_ROWS]
-        if not -_MAX_COORD <= float(Q.min()) <= float(Q.max()) <= _MAX_COORD:  # NaN fails too
+        a, b = float(Q.min()), float(Q.max())
+        if not -_MAX_COORD <= a <= b <= _MAX_COORD:  # NaN fails too
             raise InvalidGeometryError(f"coordinates must be finite and within ±{_MAX_COORD:g}")
-    return np.ascontiguousarray(P)
+        m = max(m, -a, b)
+    P = np.ascontiguousarray(P)
+    return (P, m) if max_abs else P
+
+
+def _unit_exponent(max_abs: float) -> int:
+    """e such that a cloud whose largest |coordinate| is ``max_abs`` is
+    solved as the cloud times 2**-e, and its sphere scaled back by 2**e.
+
+    0 unless ``max_abs`` is below ``_TINY_COORD``: there the differences of
+    coordinates, multiples of their ulp, can square to below the normal
+    range. Then the largest |coordinate| goes to [0.5, 1). Both scalings are
+    exact for normal doubles; subnormal input (below 2**-1022) gets its
+    centre and radius rounded on the way back.
+    """
+    return math.frexp(max_abs)[1] if 0.0 < max_abs < _TINY_COORD else 0
 
 
 def tolerance_for(points) -> Tolerance:

@@ -10,7 +10,9 @@ enclosing sphere is then verified against the full cloud and repaired by
 pivoting (Gaertner 1999): the point farthest outside joins the support,
 until no point is outside. That is ``welzl_solve``'s own loop, run over
 the full cloud from the small set's ball, in batched rounds on clouds
-larger than one scan chunk (see ``welzl``). ``solve`` is the one entry
+larger than one scan chunk, where a scan after the first reads only the
+64-row blocks whose distance bound the centre's shift may have pushed
+outside (see ``welzl``). ``solve`` is the one entry
 point for the library, the CLI and the bench; ``strategy="welzl"`` makes
 it run ``welzl_solve`` on the full cloud and report that the same way.
 
@@ -33,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidKError, InvalidParamsError
-from .geom import Sphere, as_cloud, tolerance_for  # noqa: F401  tolerance_for: unused, but perfbench/spans.py hooks it
-from .welzl import _pivot_solve, _solved_ball, welzl_solve
+from .geom import Sphere, _unit_exponent, as_cloud, tolerance_for  # noqa: F401  tolerance_for: unused, but perfbench/spans.py hooks it
+from .welzl import _pivot_solve, _scaled, _solved_ball, welzl_solve
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 _BLOCK_ELEMS = 2 ** 17  # doubles per reduce block: ~1 MB, which keeps BLAS threading cheap
@@ -71,12 +73,14 @@ class SolveReport:
     whether a full scan or a batched round's candidates supplied them;
     ``exact_pivots`` counts those taken in exact arithmetic: the first
     pivot whose float ball rounding kept from growing, and every later
-    one. ``timings``: ``ingest_ms`` (validation), ``reduce_ms``,
+    one. ``scanned_rows`` counts the rows whose distance the repair's
+    scans computed: N per full scan, 64 per block a later scan read.
+    ``timings``: ``ingest_ms`` (validation), ``reduce_ms``,
     ``solve_ms`` (the reduced set's solve), ``verify_ms`` (the full-cloud
     scans and all pivots). For ``strategy == "welzl"``, ``k`` and
     ``reduced_size`` are None, ``repair_rounds``, ``exact_pivots``,
-    ``reduce_ms`` and ``verify_ms`` are 0, and ``solve_ms`` is
-    ``welzl_solve`` on the full cloud.
+    ``scanned_rows``, ``reduce_ms`` and ``verify_ms`` are 0, and
+    ``solve_ms`` is ``welzl_solve`` on the full cloud.
     """
 
     sphere: Sphere
@@ -89,6 +93,7 @@ class SolveReport:
     input_count: int
     seed: int
     exact_pivots: int = 0
+    scanned_rows: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -105,6 +110,7 @@ class SolveReport:
             "input_count": self.input_count,
             "seed": self.seed,
             "exact_pivots": self.exact_pivots,
+            "scanned_rows": self.scanned_rows,
         }
 
 
@@ -235,29 +241,40 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
     SolveReport. With "projection", the reduced set's ball is the start
     of a pivoting over the full cloud: while a point lies outside (beyond
     a band of rounding size), the farthest one joins the support and the
-    ball is rebuilt. On a cloud larger than one scan chunk each full scan
-    also gathers the farthest outside row of every 64-row block, and the
-    pivots run over those in memory before the next scan; the loop ends
-    on a full scan that finds no point outside. Each pivot is a repair
-    round. If rounding stalls a pivot, that pivot and all later ones are
-    taken in exact arithmetic and ``exact_pivots`` counts them. With
-    "welzl", ``k`` and ``reduced_size`` are None, ``repair_rounds`` is 0, and
-    everything after ingest is timed as ``solve_ms``.
+    ball is rebuilt. On a cloud larger than one scan chunk each scan also
+    gathers the farthest outside row of every 64-row block, and the pivots
+    run over those in memory before the next scan. Only the first scan is
+    full: later ones read just the blocks whose distance bound, grown by
+    the centre's shift, may exceed the new limit, and find the rows a full
+    scan would. The loop ends on a scan that finds no point outside. Each
+    pivot is a repair round. If rounding stalls a pivot, that pivot and
+    all later ones are taken in exact arithmetic and ``exact_pivots``
+    counts them. ``scanned_rows`` counts the rows the scans read. With
+    "welzl", ``k`` and ``reduced_size`` are None, ``repair_rounds`` and
+    ``scanned_rows`` are 0, and everything after ingest is timed as
+    ``solve_ms``.
 
     There is no tolerance argument and no cloud scale: every band is
     relative to the ball or the points it tests, so scaling a cloud by a
-    power of two scales the result exactly, from about 1e-150 to 1e150.
+    power of two scales the result exactly while its coordinates stay
+    normal doubles within ±1e150. A cloud whose largest |coordinate| is
+    below 2**-400 is solved scaled to unit size by a power of two, so that
+    no squared distance underflows, and its sphere is scaled back; below
+    2**-1022 (subnormal input) the way back rounds.
     """
     if strategy not in ("projection", "welzl"):
         raise InvalidParamsError(f"unknown strategy {strategy!r}")
     t0 = time.perf_counter()
-    P = as_cloud(points)
+    P, m = as_cloud(points, max_abs=True)
+    e = _unit_exponent(m)
+    if e:
+        P = np.ldexp(P, -e)
     if strategy == "welzl":
         k = reduced_size = None
         t_in = t1 = time.perf_counter()  # no reduce stage
         sphere, support = welzl_solve(P, seed=seed)
         t2 = t3 = time.perf_counter()
-        pivots = exact = 0
+        pivots = exact = scanned = 0
     else:
         t_in = time.perf_counter()
         k = _plane_count(select_k(len(P)) if sel is None else sel)
@@ -267,11 +284,11 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
         small, sup = welzl_solve(P[rset.indices], seed=seed)
         t2 = time.perf_counter()
         start = _solved_ball(P, small, rset.indices[list(sup.indices)].tolist())
-        sphere, support, pivots, exact = _pivot_solve(P, start)
+        sphere, support, pivots, exact, scanned = _pivot_solve(P, start)
         t3 = time.perf_counter()
 
     return SolveReport(
-        sphere=sphere,
+        sphere=_scaled(sphere, e) if e else sphere,
         support_indices=support.indices,
         strategy=strategy,
         k=k,
@@ -286,4 +303,5 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
         input_count=len(P),
         seed=int(seed),
         exact_pivots=exact,
+        scanned_rows=scanned,
     )

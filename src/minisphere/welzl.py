@@ -10,13 +10,18 @@ and checked before the recursion runs. ``projection.solve``'s repair
 is this loop run over the full cloud from the reduced set's ball. That
 ball is close to the answer, so on a cloud larger than one scan chunk
 the repair goes in batched rounds (Badoiu and Clarkson, "Smaller
-core-sets for balls", 2003): each full scan also keeps the farthest row
-of every 64-row block that lies outside, and the pivots run over those
-candidates in memory before the next full scan. ``welzl_solve`` starts
-from four arbitrary rows, far from the answer, where such rounds cost
-more than the scans they save on some kinds, so it finds each pivot with
-a full scan. Either loop ends only on a full scan that finds no point
-outside. Near-co-spherical inputs drive the ball constructors hard, so
+core-sets for balls", 2003): each scan also keeps the farthest row of
+every 64-row block that lies outside, and the pivots run over those
+candidates in memory before the next scan. Only the first scan is full:
+each block keeps an upper bound on its rows' distance from the centre,
+grown by the centre's shift after each round (Elkan's triangle-inequality
+bounds, "Using the triangle inequality to accelerate k-means", 2003),
+and a later scan reads only the blocks whose bound may exceed the new
+limit. ``welzl_solve`` starts from four arbitrary rows, far from the
+answer, where such rounds cost more than the scans they save on some
+kinds, so it finds each pivot with a full scan. Either loop ends only on
+a scan that finds no point outside, every row it skips certified by its
+bound. Near-co-spherical inputs drive the ball constructors hard, so
 all candidate-sphere math runs on bare floats, with two exceptions that
 use exact rational arithmetic on at most five points (``_exact_ball``):
 four pinned points that are coplanar, and every pivot from the first
@@ -33,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateCollinear, DegenerateCoplanar
-from .geom import _DEFAULT_TOL, Sphere, _circum3, _circum4, as_cloud
+from .geom import _DEFAULT_TOL, Sphere, _circum3, _circum4, _unit_exponent, as_cloud
 
 _SCAN_CHUNK = 32768  # rows per farthest-point scan chunk: two 256 kB buffers
 _BLOCK = 64  # rows per candidate block of a batched scan; divides _SCAN_CHUNK; 128 and 256 took 5 scans where 64 took 2
@@ -41,6 +46,8 @@ _BLOCK = 64  # rows per candidate block of a batched scan; divides _SCAN_CHUNK; 
 _REL_BAND = 1.0 + 4e-13
 _EPS = _DEFAULT_TOL.eps_rel  # degeneracy cut, relative to the extent of the points tested
 _ULP = 2.0 ** -52  # one unit in the last place, relative to a coordinate's magnitude
+_SLACK = 1.0 + 2.0 ** -40  # relative slack of a block's distance bound: a few dozen ulps
+_TINY_D2 = 2.0 ** -1000  # absolute slack of a bound: the rounding of squares that underflow
 
 
 class SupportSet(NamedTuple):
@@ -75,23 +82,35 @@ def welzl_solve(points, seed: int = 0) -> tuple[Sphere, SupportSet]:
 
     The pivoting starts from the exact min ball of the first (up to four)
     rows, so a caller that knows the final support can warm-start the
-    solve by passing those rows first: then no pivot is needed.
+    solve by passing those rows first: then no pivot is needed. A cloud
+    whose largest |coordinate| is below 2**-400 is solved scaled to unit
+    size by a power of two, and its sphere scaled back
+    (``geom._unit_exponent``).
     """
-    P = as_cloud(points)
-    return _pivot_solve(P, range(min(len(P), 4)))[:2]
+    P, m = as_cloud(points, max_abs=True)
+    e = _unit_exponent(m)
+    if not e:
+        return _pivot_solve(P, range(min(len(P), 4)))[:2]
+    sphere, support = _pivot_solve(np.ldexp(P, -e), range(min(len(P), 4)))[:2]
+    return _scaled(sphere, e), SupportSet(support.indices, np.ldexp(support.points, e))
 
 
-def _pivot_solve(P: np.ndarray, start) -> tuple[Sphere, SupportSet, int, int]:
+def _pivot_solve(P: np.ndarray, start) -> tuple[Sphere, SupportSet, int, int, int]:
     """Min ball of the rows of P, pivoting from ``start`` (see ``_pivot_ball``).
 
-    Returns the sphere, its support, the number of pivots taken and how
-    many of them were exact.
+    Returns the sphere, its support, the number of pivots taken, how many
+    of them were exact and how many rows of P had their distance computed.
     """
-    ball, pivots, exact = _pivot_ball(P, start)
+    ball, pivots, exact, scanned = _pivot_ball(P, start)
     rows = sorted({i for (_, i) in ball.support})
     support = SupportSet(tuple(rows), P[rows].copy())
     sphere = Sphere(np.array(ball.c, dtype=np.float64), math.sqrt(max(ball.r2, 0.0)))
-    return sphere, support, pivots, exact
+    return sphere, support, pivots, exact, scanned
+
+
+def _scaled(sphere: Sphere, e: int) -> Sphere:
+    """``sphere`` scaled by 2**e."""
+    return Sphere(np.ldexp(sphere.center, e), math.ldexp(sphere.radius, e))
 
 
 def _solved_ball(P: np.ndarray, sphere: Sphere, rows) -> _Ball:
@@ -99,9 +118,10 @@ def _solved_ball(P: np.ndarray, sphere: Sphere, rows) -> _Ball:
     return _Ball(tuple(sphere.center.tolist()), sphere.radius * sphere.radius, tuple(_row(P, i) for i in rows))
 
 
-def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball, int, int]:
-    """Min ball of the rows of P by Gaertner's pivoting, its pivot count
-    and how many of those pivots were exact.
+def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball, int, int, int]:
+    """Min ball of the rows of P by Gaertner's pivoting, its pivot count,
+    how many of those pivots were exact and how many rows of P had their
+    distance from a centre computed.
 
     ``start`` is either one to four rows of P, whose exact min ball (plain
     Welzl) starts the pivoting, or a ``_Ball`` that already is the min ball
@@ -115,25 +135,34 @@ def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball, int, int]:
 
     From rows, each pivot is found by a full scan. A solved subset's ball
     is close to the answer, and a cloud larger than one scan chunk then
-    goes in rounds (Badoiu and Clarkson's core-set rounds): one full scan
-    keeps the farthest row of each block of ``_BLOCK`` rows that lies
-    outside (``_outside_rows``), and the pivots run over a copy of those
+    goes in rounds (Badoiu and Clarkson's core-set rounds): a scan keeps
+    the farthest row of each block of ``_BLOCK`` rows that lies outside
+    (``_outside_rows``), and the pivots run over a copy of those
     candidates until none of them is outside. The first pivot of a round
-    is the row a plain scan picks. Either way the loop ends only on a full
-    scan that finds no row outside.
+    is the row a plain scan picks. The first scan of the cloud is full;
+    later ones rescan only the blocks whose distance bound the centre's
+    shift may have pushed beyond the limit (``_grown``), and return the
+    rows a full scan would. Either way the loop ends only on a scan that
+    finds no row outside, with every other row certified by its bound.
     """
     if isinstance(start, _Ball):
-        ball, batched = start, len(P) > _SCAN_CHUNK
+        ball, ws = start, (_workspace(len(P)) if len(P) > _SCAN_CHUNK else None)
     else:
         first = tuple(_row(P, i) for i in start)
-        ball, batched = _ball1(first[0]), False
+        ball, ws = _ball1(first[0]), None
         for k in range(1, len(first)):
             if _outside(ball, first[k]):
                 ball = _pinned_ball(first[:k], (first[k],))
-    pivots = exact = 0
+    pivots = exact = scanned = 0
+    blocks = None  # every block: the first scan is full
     while True:
-        rows = _outside_rows(P, ball) if batched else None
+        if ws is None:
+            rows = None
+        else:
+            rows, n = _outside_rows(P, ball, *ws, blocks)
+            scanned += n
         Q = P if rows is None else P[rows]
+        c = ball.c
         while (j := _farthest_outside(Q, ball)) >= 0:
             e = (tuple(Q[j].tolist()), j if rows is None else int(rows[j]))
             grown = None if exact else _pinned_ball(ball.support, (e,))
@@ -142,8 +171,11 @@ def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball, int, int]:
                 exact += 1
             ball = grown
             pivots += 1
-        if rows is None or not len(rows):
-            return ball, pivots, exact
+        if rows is None:
+            return ball, pivots, exact, len(P) * (pivots + 1)
+        if not len(rows):
+            return ball, pivots, exact, scanned
+        blocks = _grown(ws[0], c, ball)
 
 
 def _pinned_ball(entries: tuple, boundary: tuple) -> _Ball:
@@ -219,28 +251,92 @@ def _farthest_outside(P: np.ndarray, ball: _Ball) -> int:
     return j
 
 
-def _outside_rows(P: np.ndarray, ball: _Ball) -> np.ndarray:
-    """Rows of P to pivot over: of each block of ``_BLOCK`` consecutive
-    rows, the farthest from the ball's centre if it lies outside; in row order.
+def _workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The batched scans' memory for n rows, one array: a distance bound
+    per block (see ``_outside_rows``) and two chunk buffers."""
+    blocks = -(-n // _BLOCK)
+    size = min(blocks * _BLOCK, _SCAN_CHUNK)
+    ws = np.empty(blocks + 2 * size)
+    return ws[:blocks], ws[blocks:].reshape(2, size)
 
-    The first of equally far rows of a block wins, so the farthest of these
-    rows, first of equals, is the row ``_farthest_outside`` picks. Only a
-    chunk with a row outside pays for its block maxima. The chunk buffers
-    are those of ``_farthest_outside``, padded with -inf to whole blocks.
+
+def _outside_rows(P: np.ndarray, ball: _Ball, bound: np.ndarray, bufs: np.ndarray,
+                  blocks=None) -> tuple[np.ndarray, int]:
+    """Rows of P to pivot over: of each block of ``_BLOCK`` consecutive
+    rows, the farthest from the ball's centre if it lies outside; in row
+    order. Also the count of rows whose distance was computed.
+
+    Only the ``blocks`` listed (ascending) are scanned, every block if
+    None; each gets a new ``bound`` on the squared distance of its rows
+    from the centre (``bound, bufs = _workspace(len(P))``). The first of
+    equally far rows of a block wins, so the farthest of these rows, first
+    of equals, is the row ``_farthest_outside`` picks. Listed blocks are
+    gathered a chunk's worth at a time; distances land in the chunk
+    buffers, padded with -inf to whole blocks. Only a chunk with a row
+    outside pays for its block maxima; the blocks of any other chunk take
+    the chunk's maximum as their bound.
     """
     far = _limit(ball)
+    n = len(P)
+    full = n // _BLOCK
+    d2, t = bufs
+    per = len(d2) // _BLOCK
+    heads = np.arange(0, len(d2), _BLOCK)
     found = []
-    heads = np.arange(0, _SCAN_CHUNK, _BLOCK)
-    d2, t = np.empty((2, min(-(-len(P) // _BLOCK) * _BLOCK, _SCAN_CHUNK)))
-    for lo in range(0, len(P), _SCAN_CHUNK):
-        Q = P[lo:lo + _SCAN_CHUNK]
-        _sq_dist(Q, ball.c, d2[:len(Q)], t[:len(Q)])
-        d2[len(Q):] = -np.inf
-        if d2[d2.argmax()] > far:
-            i = d2.reshape(-1, _BLOCK).argmax(axis=1)
+    scanned = 0
+    for g in range(0, len(bound) if blocks is None else len(blocks), per):
+        if blocks is None:
+            b = slice(g, g + per)
+            Q, base = P[g * _BLOCK:(g + per) * _BLOCK], g * _BLOCK
+        else:
+            b = blocks[g:g + per]
+            short = int(b[-1]) == full  # the short last block, not in the block view
+            Q = P[:full * _BLOCK].reshape(full, 3 * _BLOCK)[b[:len(b) - short]].reshape(-1, 3)
+            if short:
+                Q = np.concatenate((Q, P[full * _BLOCK:]))
+            base = b * _BLOCK - heads[:len(b)]
+        k = len(Q)
+        d = d2[:-(-k // _BLOCK) * _BLOCK]
+        _sq_dist(Q, ball.c, d[:k], t[:k])
+        d[k:] = -np.inf
+        top = d[d.argmax()]
+        if top > far:
+            i = d.reshape(-1, _BLOCK).argmax(axis=1)
             i += heads[:len(i)]
-            found.append(i[d2[i] > far] + lo)
-    return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
+            top = d[i]
+            found.append((i + base)[top > far])
+        bound[b] = top
+        scanned += k
+    return (np.concatenate(found) if found else np.empty(0, dtype=np.intp)), scanned
+
+
+def _grown(bound: np.ndarray, c, ball: _Ball) -> np.ndarray | None:
+    """Blocks to rescan after a round moved the centre from ``c`` to the
+    ball's, given a scan's block bounds; None for a full scan.
+
+    Each bound covers the exact squared distances of its block's rows from
+    the centre. It grows by the shift s: with R the square root of the new
+    ``_limit``, (a + s)^2 <= a^2 (1 + s/R) + s (s + R) for every a, since
+    2aR <= a^2 + R^2, so no block needs a root. Why a skipped block holds
+    no row a full scan would flag: each subtraction, square and sum of
+    ``_sq_dist`` is correctly rounded, so a computed squared distance is
+    within a factor (1 +- 2**-53)^5 of the exact one, give or take
+    2**-1000 where squares underflow. ``_SLACK`` and ``_TINY_D2`` cover
+    that for a bound taken from computed distances, for the rounding of
+    these updates and of the shift, and, cut from the limit, for the
+    distances a full scan would compute. A shift beyond R makes every
+    bound useless, and more than half the blocks cost more gathered than
+    read in place: then the scan is full.
+    """
+    far = _limit(ball)
+    r = math.sqrt(far)
+    s = math.dist(c, ball.c) * _SLACK
+    if not s <= r:
+        return None
+    bound *= (1.0 + s / r) * _SLACK
+    bound += (s * (s + r) + _TINY_D2 * (1.0 + s / r)) * _SLACK
+    blocks = np.flatnonzero(bound > (far - _TINY_D2) / (_SLACK * _SLACK))
+    return blocks if 2 * len(blocks) <= len(bound) else None
 
 
 def _outside(ball: _Ball, e, far: float | None = None) -> bool:

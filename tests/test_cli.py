@@ -38,6 +38,7 @@ def test_solve_cube(capsys, cube_csv):
     assert doc["input_count"] == 9
     assert doc["seed"] == 42
     assert doc["exact_pivots"] == 0
+    assert doc["scanned_rows"] == 9 * (doc["repair_rounds"] + 1)  # one chunk: a full scan per pivot, one more at the end
     assert isinstance(doc["support_indices"], list)
     assert set(doc["timings"]) == {"ingest_ms", "reduce_ms", "solve_ms", "verify_ms"}
 
@@ -49,7 +50,7 @@ def test_solve_welzl_strategy_nulls_projection_fields(capsys, cube_csv):
     assert doc["strategy"] == "welzl"
     assert doc["k"] is None
     assert doc["reduced_size"] is None
-    assert doc["repair_rounds"] == 0
+    assert doc["repair_rounds"] == doc["scanned_rows"] == 0
     assert rel_err(doc["sphere"]["radius"], math.sqrt(3.0) / 2.0) < 1e-12
 
 

@@ -197,7 +197,7 @@ class TestSolve:
         d = rep.to_dict()
         assert set(d) == {
             "sphere", "support_indices", "strategy", "k", "reduced_size",
-            "repair_rounds", "timings", "input_count", "seed", "exact_pivots",
+            "repair_rounds", "timings", "input_count", "seed", "exact_pivots", "scanned_rows",
         }
         assert set(d["timings"]) == {"ingest_ms", "reduce_ms", "solve_ms", "verify_ms"}
         assert set(d["sphere"]) == {"center", "radius"}
@@ -217,7 +217,7 @@ class TestSolve:
             assert rep.sphere.radius == ref.radius, kind
             assert rep.support_indices == sup.indices, kind
             assert (rep.strategy, rep.k, rep.reduced_size, rep.repair_rounds) == ("welzl", None, None, 0)
-            assert rep.exact_pivots == 0
+            assert rep.exact_pivots == rep.scanned_rows == 0
             assert rep.timings["reduce_ms"] == rep.timings["verify_ms"] == 0.0
             assert rep.timings["solve_ms"] > 0.0
 
@@ -306,12 +306,15 @@ def test_solve_is_scale_invariant(scale):
         assert max_violation(P, rep.sphere.center, r) <= 1e-9 * r, kind
 
 
-@pytest.mark.parametrize("s", [-450, -200, -140, 140, 200, 450])
+@pytest.mark.parametrize("s", [-900, -600, -450, -200, -140, 140, 200, 450])
 def test_power_of_two_scaling_is_exact(s):
     """Scaling a cloud by 2**s scales both solvers' results exactly, far
     beyond where the cube of a squared extent leaves the double range: the
     circumsphere cores scale their offsets to unit size first once the
-    squared extent leaves [2**-300, 2**300], and +-140 stays just inside."""
+    squared extent leaves [2**-300, 2**300], and +-140 stays just inside.
+    A cloud whose largest |coordinate| is below 2**-400 is solved scaled to
+    unit size, so at -600 and -900 no squared distance underflows (both
+    solvers returned radius 0.0 at -600 without that)."""
     f = 2.0 ** s
     for kind in kinds():
         P = generate(kind, 1000, seed=0)
@@ -323,6 +326,7 @@ def test_power_of_two_scaling_is_exact(s):
         (w, wsup), (wf, wfsup) = welzl_solve(P), welzl_solve(P * f)
         assert np.array_equal(wf.center, w.center * f) and wf.radius == w.radius * f, kind
         assert wfsup.indices == wsup.indices, kind
+        assert np.array_equal(wfsup.points, P[list(wsup.indices)] * f), kind
 
 
 def test_clouds_beyond_1e150_are_rejected_not_solved_wrong():

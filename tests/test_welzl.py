@@ -188,7 +188,7 @@ def test_start_ball_is_exact_in_every_order():
     Q = generate("uniform-ball", 30, seed=1)[[11, 8, 13, 17]]
     want = brute_force_ses(Q).radius
     for order in itertools.permutations(range(4)):
-        ball, pivots, exact = welzl._pivot_ball(Q[list(order)], range(4))
+        ball, pivots, exact, _ = welzl._pivot_ball(Q[list(order)], range(4))
         assert pivots == exact == 0, order
         assert rel_err(math.sqrt(ball.r2), want) < 1e-12, order
 
@@ -352,55 +352,138 @@ def _outside_rows_reference(P, ball):
 def test_outside_rows_match_block_argmax(n, offset):
     """The candidate scan returns every block's farthest row beyond the limit,
     in row order, for clouds below, at and above one chunk and moved far
-    from the origin; the global farthest row is among them."""
+    from the origin; the global farthest row is among them. A full scan
+    computes every row's distance and bounds every block by its rows'."""
     P = generate("uniform-ball", n, seed=n % 97) + offset
+    bound, bufs = welzl._workspace(n)
     for c, r2 in (((0.0, 0.0, 0.0), 0.25), ((0.1, -0.2, 0.05), 0.5), ((0.0, 0.0, 0.0), 4.0)):
         ball = welzl._Ball(tuple(x + offset for x in c), r2, ())
-        rows = welzl._outside_rows(P, ball)
+        rows, scanned = welzl._outside_rows(P, ball, bound, bufs)
         assert rows.tolist() == _outside_rows_reference(P, ball), (n, c, r2)
+        assert scanned == n, (n, c, r2)
         j = _farthest_reference(P, ball)
         assert (j < 0) == (len(rows) == 0) and (j < 0 or j in rows.tolist()), (n, c, r2)
+        d2 = _sq_dist_reference(P, ball.c)
+        for b in range(0, len(bound), 7):
+            assert d2[b * welzl._BLOCK:(b + 1) * welzl._BLOCK].max() <= bound[b], (n, c, r2, b)
 
 
 def test_outside_rows_tie_in_block_takes_first_row():
     """Equally far rows inside one block: the first is the candidate; in two
-    blocks, both are, and the pivot over them picks the first, as a full scan does."""
+    blocks, both are, and the pivot over them picks the first, as a full
+    scan does; a rescan of those blocks alone returns the same rows."""
     c, b = welzl._SCAN_CHUNK, welzl._BLOCK
     P = generate("uniform-ball", 2 * c + 5, seed=4) * 0.5
+    ws = welzl._workspace(len(P))
     ball = welzl._Ball((0.0, 0.0, 0.0), 1.0, ())
     P[c + 3] = (3.0, 0.0, 0.0)
     P[c + 7] = (0.0, 3.0, 0.0)
-    assert welzl._outside_rows(P, ball).tolist() == [c + 3]
+    assert welzl._outside_rows(P, ball, *ws)[0].tolist() == [c + 3]
     P[c + b + 1] = (0.0, 0.0, -3.0)
-    rows = welzl._outside_rows(P, ball)
+    rows = welzl._outside_rows(P, ball, *ws)[0]
     assert rows.tolist() == [c + 3, c + b + 1]
     assert rows[welzl._farthest_outside(P[rows], ball)] == c + 3 == _farthest_reference(P, ball)
+    some = np.array([0, c // b, c // b + 1, len(P) // b])
+    again, scanned = welzl._outside_rows(P, ball, *ws, some)
+    assert again.tolist() == rows.tolist() and scanned == 3 * b + len(P) % b
 
 
-# full scans (calls of ``welzl._outside_rows``) of ``solve`` on 2e5 points per
-# kind, seed 7, as measured when the batched rounds were introduced; one
-# full scan per pivot took 10, 4, 1, 5, 1, 3 and 5 on these clouds
-_SCANS_2E5 = {"uniform-ball": 4, "uniform-cube": 2, "collinear": 1, "coplanar-disk": 4,
-              "co-spherical": 1, "clustered": 3, "near-degenerate": 4}
+def _sq_dist_reference(P, c):
+    cx, cy, cz = c
+    return (P[:, 0] - cx) ** 2 + (P[:, 1] - cy) ** 2 + (P[:, 2] - cz) ** 2
+
+
+@pytest.mark.parametrize("n", [3 * welzl._SCAN_CHUNK + 100, 100_000 - 17])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("scale", [2.0 ** -400, 1.0, 2.0 ** 400])
+def test_bounded_rescan_returns_the_full_scans_rows(n, offset, scale):
+    """After each random shift of the centre, the blocks ``_grown`` lists
+    return exactly the rows a full scan returns, round after round, at any
+    offset and scale. The radius is set so that a few hundred rows lie
+    outside, some of them within a few ulps of the limit; most blocks are
+    not rescanned."""
+    rng = np.random.default_rng(n)
+    P = (generate("uniform-ball", n, seed=3) + offset) * scale
+    bound, bufs = welzl._workspace(n)
+    c = (offset * scale,) * 3
+    far = np.sort(_sq_dist_reference(P, c))[-300]
+    ball = welzl._Ball(c, far, ())
+    welzl._outside_rows(P, ball, bound, bufs)
+    rescanned = 0
+    for step in range(8):
+        shift = rng.normal(size=3) * scale * 10.0 ** rng.uniform(-7, -3)
+        c = tuple((np.array(ball.c) + shift).tolist())
+        d2 = np.sort(_sq_dist_reference(P, c))
+        # a limit right at a row's computed distance: ties decide
+        near = d2[-rng.integers(1, 400)]
+        r2 = near / welzl._REL_BAND * (1.0 + rng.integers(-3, 4) * 2.0 ** -52)
+        new = welzl._Ball(c, r2, ())
+        blocks = welzl._grown(bound, ball.c, new)
+        got, scanned = welzl._outside_rows(P, new, bound, bufs, blocks)
+        want = _outside_rows_reference(P, new)
+        assert got.tolist() == want, (step, n, offset, scale)
+        rescanned += scanned
+        ball = new
+    assert rescanned < 2 * n, rescanned
+
+
+# scans (calls of ``welzl._outside_rows``) of ``solve`` on 2e5 points per kind,
+# seed 7, as measured when the batched rounds were introduced (one full scan
+# per pivot took 10, 4, 1, 5, 1, 3 and 5 on these clouds), and a bound on
+# the rows they compute a distance for, in units of the cloud's size; the
+# start ball of the clustered cloud is poor, so its second scan is full
+_SCANS_2E5 = {"uniform-ball": (4, 2), "uniform-cube": (2, 2), "collinear": (1, 2), "coplanar-disk": (4, 2),
+              "co-spherical": (1, 2), "clustered": (3, 3), "near-degenerate": (4, 2)}
 
 
 @pytest.mark.parametrize("kind", sorted(_SCANS_2E5))
 def test_solve_scans_the_full_cloud_few_times(kind, monkeypatch):
     """``solve``'s repair scans a 2e5-point cloud in a few batched rounds, the
-    last of which finds no row outside; ``welzl_solve`` keeps pivoting on one
-    full scan per pivot and gathers no candidates."""
+    last of which finds no row outside; after the first, a scan mostly
+    visits only the blocks its bound does not certify. ``welzl_solve``
+    keeps pivoting on one full scan per pivot and gathers no candidates."""
     P = generate(kind, 200_000, seed=7)
     real = welzl._outside_rows
     ends = []
-    monkeypatch.setattr(welzl, "_outside_rows", lambda Q, ball: ends.append(len(r := real(Q, ball))) or r)
+    monkeypatch.setattr(welzl, "_outside_rows",
+                        lambda Q, ball, *ws: ends.append(len((r := real(Q, ball, *ws))[0])) or r)
     rep = projection.solve(P, seed=7)
-    assert 1 <= len(ends) <= _SCANS_2E5[kind], (kind, ends)
+    scans, rows = _SCANS_2E5[kind]
+    assert 1 <= len(ends) <= scans, (kind, ends)
     assert ends[-1] == 0 and all(ends[:-1]), (kind, ends)
+    assert len(P) <= rep.scanned_rows < rows * len(P), (kind, rep.scanned_rows)
+    assert rep.scanned_rows < len(ends) * len(P) or len(ends) == 1, (kind, rep.scanned_rows)
     ends.clear()
     ref, _ = welzl_solve(P, seed=7)
     assert ends == [], kind
     assert rel_err(rep.sphere.radius, ref.radius) < 1e-12, kind
     assert max_violation(P, rep.sphere.center, rep.sphere.radius) <= 1e-12 * rep.sphere.radius, kind
+
+
+@pytest.mark.parametrize("every", ["full", "gathered"])
+def test_unbounded_rescans_change_no_answer(every, monkeypatch):
+    """With every block bound forced to +inf, so that every scan is full,
+    or with every block listed for a gathered rescan, ``solve`` gives the
+    same sphere, support, pivots and exact pivots bit for bit as with the
+    bounds, on every kind at 2e5 points: the bounds only skip work."""
+    real = welzl._grown
+
+    def unbounded(bound, c, ball):
+        bound[:] = np.inf
+        blocks = real(bound, c, ball)
+        return blocks if every == "full" else np.arange(len(bound))
+
+    for kind in kinds():
+        P = generate(kind, 200_000, seed=7)
+        want = projection.solve(P, seed=7)
+        with monkeypatch.context() as m:
+            m.setattr(welzl, "_grown", unbounded)
+            got = projection.solve(P, seed=7)
+        assert np.array_equal(got.sphere.center, want.sphere.center), kind
+        assert got.sphere.radius == want.sphere.radius, kind
+        assert got.support_indices == want.support_indices, kind
+        assert (got.repair_rounds, got.exact_pivots) == (want.repair_rounds, want.exact_pivots), kind
+        assert got.scanned_rows >= want.scanned_rows, kind
 
 
 def test_swapped_ball_is_the_plain_welzl_ball(monkeypatch):
