@@ -48,21 +48,40 @@ class Tolerance(NamedTuple):
 _DEFAULT_TOL = Tolerance()
 _CHECK_ROWS = 32768  # rows per range-check chunk: 768 kB, so max() rereads min()'s rows from cache
 _MAX_COORD = 1e150  # beyond it, squared distances leave the double range
-_TINY_COORD = 2.0 ** -400  # below it, a cloud is solved scaled to unit size (``_unit_exponent``)
+_TINY_COORD = 2.0 ** -400  # below it, a cloud is solved scaled to unit size (``_unit_cloud``)
 # squared extents at which the circumsphere cores need no scaling: their
 # cubes and every product they form stay far from over- and underflow
 _FAIR_L2 = (2.0 ** -300, 2.0 ** 300)
 
 
-def as_cloud(points, max_abs: bool = False):
+def as_cloud(points) -> np.ndarray:
     """Validate and normalize a point cloud to a C-contiguous (N, 3) float64 array.
 
     An empty cloud raises EmptyInputError; a coordinate that is not finite
     or lies beyond ±1e150, where squared distances overflow, raises
-    InvalidGeometryError. Chunked min and max: no (N, 3) temporary. With
-    ``max_abs``, returns the array and its largest |coordinate|, which the
-    same min and max give.
+    InvalidGeometryError. Chunked min and max: no (N, 3) temporary.
     """
+    return _checked(points)[0]
+
+
+def _unit_cloud(points) -> tuple[np.ndarray, int]:
+    """``as_cloud(points)`` times 2**-e, and e: what the solvers solve.
+
+    e is 0 unless the largest |coordinate| is below ``_TINY_COORD``, where
+    differences of coordinates, multiples of their ulp, can square to
+    below the normal range. Then the largest |coordinate| goes to [0.5, 1),
+    and the caller scales its sphere back by 2**e. Both scalings are exact
+    for normal doubles; subnormal input (below 2**-1022) gets its centre
+    and radius rounded on the way back. The magnitude comes from
+    validation's own min and max, so no pass is added.
+    """
+    P, m = _checked(points)
+    e = math.frexp(m)[1] if 0.0 < m < _TINY_COORD else 0
+    return (np.ldexp(P, -e) if e else P), e
+
+
+def _checked(points) -> tuple[np.ndarray, float]:
+    """``as_cloud``'s array and the largest |coordinate| of the cloud."""
     P = np.asarray(points, dtype=np.float64)
     if P.ndim == 1 and P.size == 0:
         P = P.reshape(0, 3)
@@ -77,21 +96,7 @@ def as_cloud(points, max_abs: bool = False):
         if not -_MAX_COORD <= a <= b <= _MAX_COORD:  # NaN fails too
             raise InvalidGeometryError(f"coordinates must be finite and within ±{_MAX_COORD:g}")
         m = max(m, -a, b)
-    P = np.ascontiguousarray(P)
-    return (P, m) if max_abs else P
-
-
-def _unit_exponent(max_abs: float) -> int:
-    """e such that a cloud whose largest |coordinate| is ``max_abs`` is
-    solved as the cloud times 2**-e, and its sphere scaled back by 2**e.
-
-    0 unless ``max_abs`` is below ``_TINY_COORD``: there the differences of
-    coordinates, multiples of their ulp, can square to below the normal
-    range. Then the largest |coordinate| goes to [0.5, 1). Both scalings are
-    exact for normal doubles; subnormal input (below 2**-1022) gets its
-    centre and radius rounded on the way back.
-    """
-    return math.frexp(max_abs)[1] if 0.0 < max_abs < _TINY_COORD else 0
+    return np.ascontiguousarray(P), m
 
 
 def tolerance_for(points) -> Tolerance:

@@ -9,10 +9,11 @@ vertices, so the union of the picks is a small certificate set. Its
 enclosing sphere is then verified against the full cloud and repaired by
 pivoting (Gaertner 1999): the point farthest outside joins the support,
 until no point is outside. That is ``welzl_solve``'s own loop, run over
-the full cloud from the small set's ball, in batched rounds on clouds
-larger than one scan chunk, where a scan after the first reads only the
-64-row blocks whose distance bound the centre's shift may have pushed
-outside (see ``welzl``). ``solve`` is the one entry
+the full cloud from the small set's ball, where a scan after the first
+reads only what the centre's shift may have pushed outside (see
+``welzl``): the rows whose own distance bound may exceed the limit, on a
+cloud of at most one scan chunk, and otherwise, in batched rounds, the
+64-row blocks whose bound may. ``solve`` is the one entry
 point for the library, the CLI and the bench; ``strategy="welzl"`` makes
 it run ``welzl_solve`` on the full cloud and report that the same way.
 
@@ -35,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidKError, InvalidParamsError
-from .geom import Sphere, _unit_exponent, as_cloud, tolerance_for  # noqa: F401  tolerance_for: unused, but perfbench/spans.py hooks it
+from .geom import Sphere, _unit_cloud, as_cloud, tolerance_for  # noqa: F401  tolerance_for: unused, but perfbench/spans.py hooks it
 from .welzl import _pivot_solve, _scaled, _solved_ball, welzl_solve
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -74,7 +75,8 @@ class SolveReport:
     ``exact_pivots`` counts those taken in exact arithmetic: the first
     pivot whose float ball rounding kept from growing, and every later
     one. ``scanned_rows`` counts the rows whose distance the repair's
-    scans computed: N per full scan, 64 per block a later scan read.
+    scans computed: N per full scan, and for a later scan 64 per block it
+    read, or on a cloud of at most one scan chunk each row it read.
     ``timings``: ``ingest_ms`` (validation), ``reduce_ms``,
     ``solve_ms`` (the reduced set's solve), ``verify_ms`` (the full-cloud
     scans and all pivots). For ``strategy == "welzl"``, ``k`` and
@@ -170,10 +172,11 @@ def _extremes(P: np.ndarray, D: np.ndarray) -> np.ndarray:
         tied |= v == best
         up = np.flatnonzero(v > best)
         if up.size:
-            best[up] = v[up]
-            out[up] = j[up] + lo
-            S[up, j[up]] = -np.inf
-            tied[up] = (S if up.size == m else S[up]).max(axis=1) == v[up]
+            vu, ju = v[up], j[up]
+            best[up] = vu
+            out[up] = ju + lo
+            S[up, ju] = -np.inf
+            tied[up] = (S if up.size == m else S[up]).max(axis=1) == vu
     for r in np.flatnonzero(tied):
         out[r] = _lex_max(P, D[r])
     return out
@@ -246,7 +249,8 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
     run over those in memory before the next scan. Only the first scan is
     full: later ones read just the blocks whose distance bound, grown by
     the centre's shift, may exceed the new limit, and find the rows a full
-    scan would. The loop ends on a scan that finds no point outside. Each
+    scan would. A smaller cloud keeps one bound per row and one pivot per
+    scan, so its pivots are the ones full scans take. The loop ends on a scan that finds no point outside. Each
     pivot is a repair round. If rounding stalls a pivot, that pivot and
     all later ones are taken in exact arithmetic and ``exact_pivots``
     counts them. ``scanned_rows`` counts the rows the scans read. With
@@ -265,14 +269,11 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
     if strategy not in ("projection", "welzl"):
         raise InvalidParamsError(f"unknown strategy {strategy!r}")
     t0 = time.perf_counter()
-    P, m = as_cloud(points, max_abs=True)
-    e = _unit_exponent(m)
-    if e:
-        P = np.ldexp(P, -e)
+    P, e = _unit_cloud(points)
     if strategy == "welzl":
         k = reduced_size = None
         t_in = t1 = time.perf_counter()  # no reduce stage
-        sphere, support = welzl_solve(P, seed=seed)
+        sphere, support = _pivot_solve(P)[:2]  # welzl_solve on the cloud validated above
         t2 = t3 = time.perf_counter()
         pivots = exact = scanned = 0
     else:

@@ -17,17 +17,20 @@ each block keeps an upper bound on its rows' distance from the centre,
 grown by the centre's shift after each round (Elkan's triangle-inequality
 bounds, "Using the triangle inequality to accelerate k-means", 2003),
 and a later scan reads only the blocks whose bound may exceed the new
-limit. ``welzl_solve`` starts from four arbitrary rows, far from the
-answer, where such rounds cost more than the scans they save on some
-kinds, so it finds each pivot with a full scan. Either loop ends only on
-a scan that finds no point outside, every row it skips certified by its
-bound. Near-co-spherical inputs drive the ball constructors hard, so
-all candidate-sphere math runs on bare floats, with two exceptions that
-use exact rational arithmetic on at most five points (``_exact_ball``):
-four pinned points that are coplanar, and every pivot from the first
-one whose float ball did not grow on. An exact ball is the exact min ball
-of its support, so from then on each pivot grows the exact radius and
-the loop ends.
+limit. A cloud of at most one chunk keeps one pivot per scan, where
+rounds cost more than they save, but each row keeps its own bound, so
+a scan after the first computes only the rows the centre's shift may
+have pushed outside. ``welzl_solve`` starts from four arbitrary rows,
+far from the answer, where neither pays on some kinds, so it finds each
+pivot with a full scan. Every loop ends only on a scan that finds no
+point outside, every row it skips certified by its bound.
+Near-co-spherical inputs drive the ball constructors hard, so all
+candidate-sphere math runs on bare floats, with two exceptions that use
+exact rational arithmetic on at most five points (``_exact_ball``): four
+pinned points that are coplanar, and every pivot from the first one
+whose float ball did not grow on. An exact ball is the exact min ball of
+its support, so from then on each pivot grows the exact radius and the
+loop ends.
 """
 
 from __future__ import annotations
@@ -38,16 +41,21 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateCollinear, DegenerateCoplanar
-from .geom import _DEFAULT_TOL, Sphere, _circum3, _circum4, _unit_exponent, as_cloud
+from .geom import _DEFAULT_TOL, Sphere, _circum3, _circum4, _unit_cloud
 
 _SCAN_CHUNK = 32768  # rows per farthest-point scan chunk: two 256 kB buffers
+_SMALL_SCAN = 2048  # rows up to which a scan takes one (N, 3) temporary instead of the chunk buffers
 _BLOCK = 64  # rows per candidate block of a batched scan; divides _SCAN_CHUNK; 128 and 256 took 5 scans where 64 took 2
 # relative slack on r^2 in outside tests: ~1800 ulps, room for a constructed ball's rounding
 _REL_BAND = 1.0 + 4e-13
 _EPS = _DEFAULT_TOL.eps_rel  # degeneracy cut, relative to the extent of the points tested
 _ULP = 2.0 ** -52  # one unit in the last place, relative to a coordinate's magnitude
-_SLACK = 1.0 + 2.0 ** -40  # relative slack of a block's distance bound: a few dozen ulps
+_SLACK = 1.0 + 2.0 ** -40  # relative slack of a distance bound: a few dozen ulps
 _TINY_D2 = 2.0 ** -1000  # absolute slack of a bound: the rounding of squares that underflow
+# share of the bounds above which a rescan reads every row in place: where a
+# gathered rescan of random entries took as long as a full scan (1e6 and 2e4)
+_GATHER_BLOCKS = 2 / 3
+_GATHER_ROWS = 1 / 8
 
 
 class SupportSet(NamedTuple):
@@ -84,24 +92,24 @@ def welzl_solve(points, seed: int = 0) -> tuple[Sphere, SupportSet]:
     rows, so a caller that knows the final support can warm-start the
     solve by passing those rows first: then no pivot is needed. A cloud
     whose largest |coordinate| is below 2**-400 is solved scaled to unit
-    size by a power of two, and its sphere scaled back
-    (``geom._unit_exponent``).
+    size by a power of two, and its sphere scaled back (``geom._unit_cloud``).
     """
-    P, m = as_cloud(points, max_abs=True)
-    e = _unit_exponent(m)
-    if not e:
-        return _pivot_solve(P, range(min(len(P), 4)))[:2]
-    sphere, support = _pivot_solve(np.ldexp(P, -e), range(min(len(P), 4)))[:2]
-    return _scaled(sphere, e), SupportSet(support.indices, np.ldexp(support.points, e))
+    P, e = _unit_cloud(points)
+    sphere, support = _pivot_solve(P)[:2]
+    if e:
+        sphere, support = _scaled(sphere, e), SupportSet(support.indices, np.ldexp(support.points, e))
+    return sphere, support
 
 
-def _pivot_solve(P: np.ndarray, start) -> tuple[Sphere, SupportSet, int, int, int]:
-    """Min ball of the rows of P, pivoting from ``start`` (see ``_pivot_ball``).
+def _pivot_solve(P: np.ndarray, start=None) -> tuple[Sphere, SupportSet, int, int, int]:
+    """Min ball of the rows of P, pivoting from ``start`` (see ``_pivot_ball``),
+    by default from the first (up to) four rows: ``welzl_solve`` on a
+    validated cloud.
 
     Returns the sphere, its support, the number of pivots taken, how many
     of them were exact and how many rows of P had their distance computed.
     """
-    ball, pivots, exact, scanned = _pivot_ball(P, start)
+    ball, pivots, exact, scanned = _pivot_ball(P, range(min(len(P), 4)) if start is None else start)
     rows = sorted({i for (_, i) in ball.support})
     support = SupportSet(tuple(rows), P[rows].copy())
     sphere = Sphere(np.array(ball.c, dtype=np.float64), math.sqrt(max(ball.r2, 0.0)))
@@ -134,19 +142,23 @@ def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball, int, int, int]:
     grows strictly, as ``_limit`` covers the rounding of the stored ball.
 
     From rows, each pivot is found by a full scan. A solved subset's ball
-    is close to the answer, and a cloud larger than one scan chunk then
-    goes in rounds (Badoiu and Clarkson's core-set rounds): a scan keeps
-    the farthest row of each block of ``_BLOCK`` rows that lies outside
-    (``_outside_rows``), and the pivots run over a copy of those
-    candidates until none of them is outside. The first pivot of a round
-    is the row a plain scan picks. The first scan of the cloud is full;
-    later ones rescan only the blocks whose distance bound the centre's
-    shift may have pushed beyond the limit (``_grown``), and return the
-    rows a full scan would. Either way the loop ends only on a scan that
-    finds no row outside, with every other row certified by its bound.
+    is close to the answer: on a cloud of at most one scan chunk each
+    pivot is found by a scan of the rows their bounds do not certify
+    (``_row_pivots``), and a larger cloud goes in rounds (Badoiu and
+    Clarkson's core-set rounds): a scan keeps the farthest row of each
+    block of ``_BLOCK`` rows that lies outside (``_outside_rows``), and
+    the pivots run over a copy of those candidates until none of them is
+    outside. The first pivot of a round is the row a plain scan picks.
+    The first scan of the cloud is full; later ones rescan only the
+    blocks whose distance bound the centre's shift may have pushed beyond
+    the limit (``_grown``), and return the rows a full scan would. Either
+    way the loop ends only on a scan that finds no row outside, with
+    every other row certified by its bound.
     """
     if isinstance(start, _Ball):
-        ball, ws = start, (_workspace(len(P)) if len(P) > _SCAN_CHUNK else None)
+        if len(P) <= _SCAN_CHUNK:
+            return _row_pivots(P, start)
+        ball, ws = start, _workspace(len(P))
     else:
         first = tuple(_row(P, i) for i in start)
         ball, ws = _ball1(first[0]), None
@@ -161,21 +173,59 @@ def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball, int, int, int]:
         else:
             rows, n = _outside_rows(P, ball, *ws, blocks)
             scanned += n
+            if not len(rows):
+                return ball, pivots, exact, scanned
         Q = P if rows is None else P[rows]
         c = ball.c
         while (j := _farthest_outside(Q, ball)) >= 0:
-            e = (tuple(Q[j].tolist()), j if rows is None else int(rows[j]))
-            grown = None if exact else _pinned_ball(ball.support, (e,))
-            if grown is None or not grown.r2 > ball.r2:
-                grown = _exact_ball(ball.support + (e,))
-                exact += 1
-            ball = grown
+            ball, exact = _step(ball, (tuple(Q[j].tolist()), j if rows is None else int(rows[j])), exact)
             pivots += 1
         if rows is None:
             return ball, pivots, exact, len(P) * (pivots + 1)
-        if not len(rows):
+        blocks = _grown(ws[0], c, ball, int(len(ws[0]) * _GATHER_BLOCKS))
+
+
+def _row_pivots(P: np.ndarray, ball: _Ball) -> tuple[_Ball, int, int, int]:
+    """``_pivot_ball`` from a solved subset's ``ball`` on a P of at most one
+    scan chunk: one pivot per scan, as from rows, so the pivots are the
+    ones full scans take. The first scan is full and keeps every row's
+    squared distance as its bound; a later scan computes only the rows
+    whose bound, grown by the centre's shift, may exceed the new limit
+    (``_grown``), or every row when more than ``_GATHER_ROWS`` of them
+    are listed. The farthest row outside is among them, first of equals.
+    """
+    n = len(P)
+    bound, t = np.empty((2, n))
+    pivots = exact = scanned = 0
+    rows = None  # every row: the first scan is full
+    while True:
+        if rows is None:
+            d = bound
+            _sq_dist(P, ball.c, d, t)
+        elif len(rows):
+            d = _sq_offsets(P[rows], ball.c, t[:len(rows)])
+            bound[rows] = d
+        else:
             return ball, pivots, exact, scanned
-        blocks = _grown(ws[0], c, ball)
+        scanned += len(d)
+        i = int(d.argmax())
+        if not d[i] > _limit(ball):
+            return ball, pivots, exact, scanned
+        j = i if rows is None else int(rows[i])
+        c = ball.c
+        ball, exact = _step(ball, (tuple(P[j].tolist()), j), exact)
+        pivots += 1
+        rows = _grown(bound, c, ball, int(n * _GATHER_ROWS))
+
+
+def _step(ball: _Ball, e, exact: int) -> tuple[_Ball, int]:
+    """The ball after pivot ``e``, and the count of exact pivots so far:
+    the float ball of the support and ``e``, or ``_exact_ball`` from the
+    first pivot that rounding kept from growing on."""
+    grown = None if exact else _pinned_ball(ball.support, (e,))
+    if grown is None or not grown.r2 > ball.r2:
+        return _exact_ball(ball.support + (e,)), exact + 1
+    return grown, exact
 
 
 def _pinned_ball(entries: tuple, boundary: tuple) -> _Ball:
@@ -232,13 +282,28 @@ def _sq_dist(Q: np.ndarray, c, d: np.ndarray, s: np.ndarray) -> None:
     d += np.square(np.subtract(Q[:, 2], cz, out=s), out=s)
 
 
+def _sq_offsets(Q: np.ndarray, c, out: np.ndarray | None = None) -> np.ndarray:
+    """``_sq_dist``'s sums, in its order, through one (N, 3) temporary:
+    fewer NumPy calls, for few rows."""
+    T = np.subtract(Q, c)
+    np.square(T, out=T)
+    d = np.add(T[:, 0], T[:, 1], out=out)
+    d += T[:, 2]
+    return d
+
+
 def _farthest_outside(P: np.ndarray, ball: _Ball) -> int:
     """Row of P farthest from the ball's centre if it lies outside, else -1.
 
     The first of equally far rows wins. Strided columns are scanned into
-    two reused chunk buffers: no temporaries, no transposed copy of P.
+    two reused chunk buffers: no transposed copy of P, and a temporary
+    only for a P of at most ``_SMALL_SCAN`` rows, where it saves calls.
     """
     far = _limit(ball)
+    if len(P) <= _SMALL_SCAN:
+        d = _sq_offsets(P, ball.c)
+        i = int(d.argmax())
+        return i if d[i] > far else -1
     j = -1
     d2, t = np.empty((2, min(len(P), _SCAN_CHUNK)))
     for lo in range(0, len(P), _SCAN_CHUNK):
@@ -310,33 +375,40 @@ def _outside_rows(P: np.ndarray, ball: _Ball, bound: np.ndarray, bufs: np.ndarra
     return (np.concatenate(found) if found else np.empty(0, dtype=np.intp)), scanned
 
 
-def _grown(bound: np.ndarray, c, ball: _Ball) -> np.ndarray | None:
-    """Blocks to rescan after a round moved the centre from ``c`` to the
-    ball's, given a scan's block bounds; None for a full scan.
+def _grown(bound: np.ndarray, c, ball: _Ball, most: int) -> np.ndarray | None:
+    """Entries of ``bound`` to rescan after a round moved the centre from
+    ``c`` to the ball's, ascending; None for a full scan, which renews
+    every bound: when the shift exceeds the new radius or more than
+    ``most`` entries would be listed.
 
-    Each bound covers the exact squared distances of its block's rows from
-    the centre. It grows by the shift s: with R the square root of the new
-    ``_limit``, (a + s)^2 <= a^2 (1 + s/R) + s (s + R) for every a, since
-    2aR <= a^2 + R^2, so no block needs a root. Why a skipped block holds
-    no row a full scan would flag: each subtraction, square and sum of
-    ``_sq_dist`` is correctly rounded, so a computed squared distance is
-    within a factor (1 +- 2**-53)^5 of the exact one, give or take
-    2**-1000 where squares underflow. ``_SLACK`` and ``_TINY_D2`` cover
-    that for a bound taken from computed distances, for the rounding of
-    these updates and of the shift, and, cut from the limit, for the
-    distances a full scan would compute. A shift beyond R makes every
-    bound useless, and more than half the blocks cost more gathered than
-    read in place: then the scan is full.
+    Each bound covers the exact squared distances of its rows (a block's,
+    or one row's) from the centre. It grows by the shift s: with R the
+    square root of the new ``_limit``, (a + s)^2 <= a^2 (1 + s/R) +
+    s (s + R) for every a, since 2aR <= a^2 + R^2, so no entry needs a
+    root. The list is taken before the growth, against the cut the grown
+    bound must pass, and only a list that is returned grows the bounds.
+    Why an entry left out holds no row a full scan would flag: each
+    subtraction, square and sum of ``_sq_dist`` is correctly rounded, so a
+    computed squared distance is within a factor (1 +- 2**-53)^5 of the
+    exact one, give or take 2**-1000 where squares underflow. ``_SLACK``
+    and ``_TINY_D2`` cover that for a bound taken from computed distances,
+    for the rounding of these updates, of the shift and of the cut, and,
+    cut from the limit, for the distances a full scan would compute.
     """
     far = _limit(ball)
     r = math.sqrt(far)
     s = math.dist(c, ball.c) * _SLACK
     if not s <= r:
         return None
-    bound *= (1.0 + s / r) * _SLACK
-    bound += (s * (s + r) + _TINY_D2 * (1.0 + s / r)) * _SLACK
-    blocks = np.flatnonzero(bound > (far - _TINY_D2) / (_SLACK * _SLACK))
-    return blocks if 2 * len(blocks) <= len(bound) else None
+    grow = (1.0 + s / r) * _SLACK
+    add = (s * (s + r) + _TINY_D2 * (1.0 + s / r)) * _SLACK
+    cut = ((far - _TINY_D2) / (_SLACK * _SLACK) - add) / grow / _SLACK
+    listed = np.flatnonzero(bound > cut)
+    if len(listed) > most:
+        return None
+    bound *= grow
+    bound += add
+    return listed
 
 
 def _outside(ball: _Ball, e, far: float | None = None) -> bool:

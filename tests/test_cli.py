@@ -38,7 +38,8 @@ def test_solve_cube(capsys, cube_csv):
     assert doc["input_count"] == 9
     assert doc["seed"] == 42
     assert doc["exact_pivots"] == 0
-    assert doc["scanned_rows"] == 9 * (doc["repair_rounds"] + 1)  # one chunk: a full scan per pivot, one more at the end
+    # one chunk: the first scan is full, a later one computes the rows its bounds do not certify
+    assert 9 <= doc["scanned_rows"] <= 9 * (doc["repair_rounds"] + 1)
     assert isinstance(doc["support_indices"], list)
     assert set(doc["timings"]) == {"ingest_ms", "reduce_ms", "solve_ms", "verify_ms"}
 

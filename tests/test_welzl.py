@@ -418,13 +418,42 @@ def test_bounded_rescan_returns_the_full_scans_rows(n, offset, scale):
         near = d2[-rng.integers(1, 400)]
         r2 = near / welzl._REL_BAND * (1.0 + rng.integers(-3, 4) * 2.0 ** -52)
         new = welzl._Ball(c, r2, ())
-        blocks = welzl._grown(bound, ball.c, new)
+        blocks = welzl._grown(bound, ball.c, new, int(len(bound) * welzl._GATHER_BLOCKS))
         got, scanned = welzl._outside_rows(P, new, bound, bufs, blocks)
         want = _outside_rows_reference(P, new)
         assert got.tolist() == want, (step, n, offset, scale)
         rescanned += scanned
         ball = new
     assert rescanned < 2 * n, rescanned
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("scale", [2.0 ** -400, 1.0, 2.0 ** 400])
+def test_row_bounds_list_every_row_outside(offset, scale):
+    """With one bound per row (clouds of one scan chunk), the rows
+    ``_grown`` lists after each random shift of the centre include every
+    row whose computed distance lies beyond the new limit, and few others;
+    the listed rows get their exact distances, as a rescan gives them."""
+    rng = np.random.default_rng(5)
+    n = 20_000
+    P = (generate("uniform-ball", n, seed=4) + offset) * scale
+    c = (offset * scale,) * 3
+    bound = _sq_dist_reference(P, c)
+    listed = 0
+    for step in range(8):
+        shift = rng.normal(size=3) * scale * 10.0 ** rng.uniform(-7, -3)
+        new_c = tuple((np.array(c) + shift).tolist())
+        d2 = _sq_dist_reference(P, new_c)
+        near = np.sort(d2)[-rng.integers(1, 400)]
+        r2 = near / welzl._REL_BAND * (1.0 + rng.integers(-3, 4) * 2.0 ** -52)
+        new = welzl._Ball(new_c, r2, ())
+        rows = welzl._grown(bound, c, new, n)
+        outside = np.flatnonzero(d2 > welzl._limit(new))
+        assert set(outside.tolist()) <= set(rows.tolist()), (step, offset, scale)
+        bound[rows] = d2[rows]
+        listed += len(rows)
+        c = new_c
+    assert listed < n // 2, listed
 
 
 # scans (calls of ``welzl._outside_rows``) of ``solve`` on 2e5 points per kind,
@@ -460,21 +489,23 @@ def test_solve_scans_the_full_cloud_few_times(kind, monkeypatch):
     assert max_violation(P, rep.sphere.center, rep.sphere.radius) <= 1e-12 * rep.sphere.radius, kind
 
 
+@pytest.mark.parametrize("n", [20_000, 200_000])
 @pytest.mark.parametrize("every", ["full", "gathered"])
-def test_unbounded_rescans_change_no_answer(every, monkeypatch):
-    """With every block bound forced to +inf, so that every scan is full,
-    or with every block listed for a gathered rescan, ``solve`` gives the
-    same sphere, support, pivots and exact pivots bit for bit as with the
-    bounds, on every kind at 2e5 points: the bounds only skip work."""
+def test_unbounded_rescans_change_no_answer(every, n, monkeypatch):
+    """With every bound forced to +inf, so that every scan is full, or with
+    every entry listed for a gathered rescan, ``solve`` gives the same
+    sphere, support, pivots and exact pivots bit for bit as with the
+    bounds, on every kind, with block bounds (2e5 points) and with row
+    bounds (2e4, one scan chunk): the bounds only skip work."""
     real = welzl._grown
 
-    def unbounded(bound, c, ball):
+    def unbounded(bound, c, ball, most):
         bound[:] = np.inf
-        blocks = real(bound, c, ball)
-        return blocks if every == "full" else np.arange(len(bound))
+        listed = real(bound, c, ball, most)
+        return listed if every == "full" else np.arange(len(bound))
 
     for kind in kinds():
-        P = generate(kind, 200_000, seed=7)
+        P = generate(kind, n, seed=7)
         want = projection.solve(P, seed=7)
         with monkeypatch.context() as m:
             m.setattr(welzl, "_grown", unbounded)
