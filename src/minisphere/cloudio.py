@@ -18,6 +18,7 @@ from .errors import ParseError, UnknownFormatError
 FORMATS = ("csv", "xyz", "json")
 
 _EXT = {".csv": "csv", ".xyz": "xyz", ".json": "json"}
+_NUMBER = (int, float)  # the types json gives JSON numbers; bool, a subclass of int, is not one
 
 
 def detect_format(path) -> str:
@@ -94,10 +95,13 @@ def _load_json(text: str) -> list:
     for i, entry in enumerate(pts):
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ParseError(f"points[{i}] is not an [x, y, z] triple")
+        x, y, z = entry
+        if type(x) not in _NUMBER or type(y) not in _NUMBER or type(z) not in _NUMBER:
+            raise ParseError(f"points[{i}] holds a value that is not a JSON number")
         try:
-            rows.append((float(entry[0]), float(entry[1]), float(entry[2])))
-        except (TypeError, ValueError):
-            raise ParseError(f"points[{i}] holds a non-numeric value") from None
+            rows.append((float(x), float(y), float(z)))
+        except OverflowError:
+            raise ParseError(f"points[{i}] holds an integer beyond the range of a double") from None
     return rows
 
 

@@ -9,13 +9,13 @@ vertices, so the union of the picks is a small certificate set. Its
 enclosing sphere is then verified against the full cloud and repaired by
 pivoting (Gaertner 1999): the point farthest outside joins the support,
 until no point is outside. That is ``welzl_solve``'s own loop, run over
-the full cloud from the small set's ball, where a scan after the first
-reads only what the centre's shift may have pushed outside (see
-``welzl``): the rows whose own distance bound may exceed the limit, on a
-cloud of at most one scan chunk, and otherwise, in batched rounds, the
-64-row blocks whose bound may. ``solve`` is the one entry
-point for the library, the CLI and the bench; ``strategy="welzl"`` makes
-it run ``welzl_solve`` on the full cloud and report that the same way.
+the full cloud from the small set's ball in batched rounds, where a scan
+after the first reads only what the centre's shift may have pushed
+outside (see ``welzl``): the rows, on a cloud of at most one scan chunk,
+or else the 64-row blocks, whose distance bound may exceed the limit.
+``solve`` is the one entry point for the library, the CLI and the bench;
+``strategy="welzl"`` makes it run ``welzl_solve`` on the full cloud and
+report that the same way.
 
 All 4K extremes come from one fused kernel: the (4K, 3) direction matrix
 times a column chunk of the cloud, into one reused buffer of about 1 MB,
@@ -75,8 +75,8 @@ class SolveReport:
     ``exact_pivots`` counts those taken in exact arithmetic: the first
     pivot whose float ball rounding kept from growing, and every later
     one. ``scanned_rows`` counts the rows whose distance the repair's
-    scans computed: N per full scan, and for a later scan 64 per block it
-    read, or on a cloud of at most one scan chunk each row it read.
+    scans computed: N per full scan, and for a later scan each row it
+    read on a cloud of at most one scan chunk, or else 64 per block.
     ``timings``: ``ingest_ms`` (validation), ``reduce_ms``,
     ``solve_ms`` (the reduced set's solve), ``verify_ms`` (the full-cloud
     scans and all pivots). For ``strategy == "welzl"``, ``k`` and
@@ -244,13 +244,13 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
     SolveReport. With "projection", the reduced set's ball is the start
     of a pivoting over the full cloud: while a point lies outside (beyond
     a band of rounding size), the farthest one joins the support and the
-    ball is rebuilt. On a cloud larger than one scan chunk each scan also
-    gathers the farthest outside row of every 64-row block, and the pivots
-    run over those in memory before the next scan. Only the first scan is
-    full: later ones read just the blocks whose distance bound, grown by
-    the centre's shift, may exceed the new limit, and find the rows a full
-    scan would. A smaller cloud keeps one bound per row and one pivot per
-    scan, so its pivots are the ones full scans take. The loop ends on a scan that finds no point outside. Each
+    ball is rebuilt. Each scan gathers candidates outside the ball, every
+    such row on a cloud of at most one scan chunk and the farthest of
+    every 64-row block on a larger one, and the pivots run over those in
+    memory before the next scan. Only the first scan is full: later ones
+    read just the rows or blocks whose distance bound, grown by the
+    centre's shift, may exceed the new limit, and find the rows a full
+    scan would. The loop ends on a scan that finds no point outside. Each
     pivot is a repair round. If rounding stalls a pivot, that pivot and
     all later ones are taken in exact arithmetic and ``exact_pivots``
     counts them. ``scanned_rows`` counts the rows the scans read. With

@@ -8,22 +8,20 @@ four points, so no recursion is open-ended. Against a support of four,
 the new point most often replaces one of them, so that sphere is tried
 and checked before the recursion runs. ``projection.solve``'s repair
 is this loop run over the full cloud from the reduced set's ball. That
-ball is close to the answer, so on a cloud larger than one scan chunk
-the repair goes in batched rounds (Badoiu and Clarkson, "Smaller
-core-sets for balls", 2003): each scan also keeps the farthest row of
-every 64-row block that lies outside, and the pivots run over those
-candidates in memory before the next scan. Only the first scan is full:
-each block keeps an upper bound on its rows' distance from the centre,
-grown by the centre's shift after each round (Elkan's triangle-inequality
-bounds, "Using the triangle inequality to accelerate k-means", 2003),
-and a later scan reads only the blocks whose bound may exceed the new
-limit. A cloud of at most one chunk keeps one pivot per scan, where
-rounds cost more than they save, but each row keeps its own bound, so
-a scan after the first computes only the rows the centre's shift may
-have pushed outside. ``welzl_solve`` starts from four arbitrary rows,
-far from the answer, where neither pays on some kinds, so it finds each
-pivot with a full scan. Every loop ends only on a scan that finds no
-point outside, every row it skips certified by its bound.
+ball is close to the answer, so the repair goes in batched rounds
+(Badoiu and Clarkson, "Smaller core-sets for balls", 2003): each scan
+keeps candidate rows outside the ball, and the pivots run over them in
+memory before the next scan. Only the first scan is full: an upper bound
+on the distance from the centre, grown by the centre's shift after each
+round (Elkan's triangle-inequality bounds, "Using the triangle inequality
+to accelerate k-means", 2003), certifies the rows a later scan skips. On
+a cloud of at most one scan chunk each row keeps its own bound and every
+row outside is a candidate; on a larger one each 64-row block keeps a
+bound and its farthest row outside is the candidate. ``welzl_solve``
+starts from four arbitrary rows, far from the answer, where rounds do
+not pay on some kinds, so it finds each pivot with a full scan. Every
+loop ends only on a scan that finds no point outside, every row it skips
+certified by its bound.
 Near-co-spherical inputs drive the ball constructors hard, so all
 candidate-sphere math runs on bare floats, with two exceptions that use
 exact rational arithmetic on at most five points (``_exact_ball``): four
@@ -142,23 +140,21 @@ def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball, int, int, int]:
     grows strictly, as ``_limit`` covers the rounding of the stored ball.
 
     From rows, each pivot is found by a full scan. A solved subset's ball
-    is close to the answer: on a cloud of at most one scan chunk each
-    pivot is found by a scan of the rows their bounds do not certify
-    (``_row_pivots``), and a larger cloud goes in rounds (Badoiu and
-    Clarkson's core-set rounds): a scan keeps the farthest row of each
-    block of ``_BLOCK`` rows that lies outside (``_outside_rows``), and
-    the pivots run over a copy of those candidates until none of them is
-    outside. The first pivot of a round is the row a plain scan picks.
-    The first scan of the cloud is full; later ones rescan only the
-    blocks whose distance bound the centre's shift may have pushed beyond
-    the limit (``_grown``), and return the rows a full scan would. Either
-    way the loop ends only on a scan that finds no row outside, with
-    every other row certified by its bound.
+    is close to the answer, so from it the pivots go in rounds (Badoiu and
+    Clarkson's core-set rounds): a scan keeps candidate rows outside the
+    ball (``_outside_rows``), every such row on a cloud of at most one
+    scan chunk and the farthest of each block of ``_BLOCK`` rows on a
+    larger one, and the pivots run over a copy of those candidates until
+    none of them is outside. The first pivot of a round is the row a plain
+    scan picks. The first scan of the cloud is full; later ones rescan
+    only the rows or blocks whose distance bound the centre's shift may
+    have pushed beyond the limit (``_grown``), and return the rows a full
+    scan would. Either way the loop ends only on a scan that finds no row
+    outside, with every other row certified by its bound.
     """
     if isinstance(start, _Ball):
-        if len(P) <= _SCAN_CHUNK:
-            return _row_pivots(P, start)
         ball, ws = start, _workspace(len(P))
+        most = int(len(ws[0]) * (_GATHER_ROWS if len(ws[0]) == len(P) else _GATHER_BLOCKS))
     else:
         first = tuple(_row(P, i) for i in start)
         ball, ws = _ball1(first[0]), None
@@ -182,40 +178,7 @@ def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball, int, int, int]:
             pivots += 1
         if rows is None:
             return ball, pivots, exact, len(P) * (pivots + 1)
-        blocks = _grown(ws[0], c, ball, int(len(ws[0]) * _GATHER_BLOCKS))
-
-
-def _row_pivots(P: np.ndarray, ball: _Ball) -> tuple[_Ball, int, int, int]:
-    """``_pivot_ball`` from a solved subset's ``ball`` on a P of at most one
-    scan chunk: one pivot per scan, as from rows, so the pivots are the
-    ones full scans take. The first scan is full and keeps every row's
-    squared distance as its bound; a later scan computes only the rows
-    whose bound, grown by the centre's shift, may exceed the new limit
-    (``_grown``), or every row when more than ``_GATHER_ROWS`` of them
-    are listed. The farthest row outside is among them, first of equals.
-    """
-    n = len(P)
-    bound, t = np.empty((2, n))
-    pivots = exact = scanned = 0
-    rows = None  # every row: the first scan is full
-    while True:
-        if rows is None:
-            d = bound
-            _sq_dist(P, ball.c, d, t)
-        elif len(rows):
-            d = _sq_offsets(P[rows], ball.c, t[:len(rows)])
-            bound[rows] = d
-        else:
-            return ball, pivots, exact, scanned
-        scanned += len(d)
-        i = int(d.argmax())
-        if not d[i] > _limit(ball):
-            return ball, pivots, exact, scanned
-        j = i if rows is None else int(rows[i])
-        c = ball.c
-        ball, exact = _step(ball, (tuple(P[j].tolist()), j), exact)
-        pivots += 1
-        rows = _grown(bound, c, ball, int(n * _GATHER_ROWS))
+        blocks = _grown(ws[0], c, ball, most)
 
 
 def _step(ball: _Ball, e, exact: int) -> tuple[_Ball, int]:
@@ -317,25 +280,31 @@ def _farthest_outside(P: np.ndarray, ball: _Ball) -> int:
 
 
 def _workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The batched scans' memory for n rows, one array: a distance bound
-    per block (see ``_outside_rows``) and two chunk buffers."""
+    """The batched scans' memory for n rows, one array: a squared-distance
+    bound per row on a cloud of at most one scan chunk (at most
+    ``_SCAN_CHUNK`` doubles), else one per block of ``_BLOCK`` rows (see
+    ``_outside_rows``), and two chunk buffers."""
     blocks = -(-n // _BLOCK)
+    m = n if n <= _SCAN_CHUNK else blocks
     size = min(blocks * _BLOCK, _SCAN_CHUNK)
-    ws = np.empty(blocks + 2 * size)
-    return ws[:blocks], ws[blocks:].reshape(2, size)
+    ws = np.empty(m + 2 * size)
+    return ws[:m], ws[m:].reshape(2, size)
 
 
 def _outside_rows(P: np.ndarray, ball: _Ball, bound: np.ndarray, bufs: np.ndarray,
                   blocks=None) -> tuple[np.ndarray, int]:
-    """Rows of P to pivot over: of each block of ``_BLOCK`` consecutive
-    rows, the farthest from the ball's centre if it lies outside; in row
-    order. Also the count of rows whose distance was computed.
+    """Rows of P to pivot over, in row order, and the count of rows whose
+    distance was computed: with a bound per row (``bound, bufs =
+    _workspace(len(P))``), every row beyond the ball's ``_limit``; with a
+    bound per block, of each block of ``_BLOCK`` consecutive rows the
+    farthest from the ball's centre if it lies outside.
 
-    Only the ``blocks`` listed (ascending) are scanned, every block if
-    None; each gets a new ``bound`` on the squared distance of its rows
-    from the centre (``bound, bufs = _workspace(len(P))``). The first of
-    equally far rows of a block wins, so the farthest of these rows, first
-    of equals, is the row ``_farthest_outside`` picks. Listed blocks are
+    Only the ``blocks`` listed (ascending entries of ``bound``) are
+    scanned, every entry if None, and each gets a new ``bound`` on the
+    squared distance of its rows from the centre: a row's own distance,
+    through ``_sq_offsets`` for listed rows. The first of equally far rows
+    of a block wins, so either way the farthest of these rows, first of
+    equals, is the row ``_farthest_outside`` picks. Listed blocks are
     gathered a chunk's worth at a time; distances land in the chunk
     buffers, padded with -inf to whole blocks. Only a chunk with a row
     outside pays for its block maxima; the blocks of any other chunk take
@@ -343,6 +312,12 @@ def _outside_rows(P: np.ndarray, ball: _Ball, bound: np.ndarray, bufs: np.ndarra
     """
     far = _limit(ball)
     n = len(P)
+    if len(bound) == n:
+        if blocks is None:
+            _sq_dist(P, ball.c, bound, bufs[0][:n])
+            return np.flatnonzero(bound > far), n
+        d = bound[blocks] = _sq_offsets(P[blocks], ball.c, bufs[0][:len(blocks)])
+        return blocks[d > far], len(blocks)
     full = n // _BLOCK
     d2, t = bufs
     per = len(d2) // _BLOCK

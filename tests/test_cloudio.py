@@ -73,6 +73,12 @@ def test_json_structure_checks(tmp_path):
         with pytest.raises(ParseError):
             load_points(p)
 
+    # only JSON numbers are coordinates: not numeric strings, booleans or null
+    for row in ('["1.5", true, 0]', '[1.5, true, 0]', '[1, 2, null]', '[1, 2, "3"]', "[1, 2, 1%s]" % ("0" * 400)):
+        p.write_text('{"points": [[0, 0, 1], %s]}' % row)
+        with pytest.raises(ParseError, match=r"points\[1\]"):
+            load_points(p)
+
 
 def test_fmt_override_beats_extension(tmp_path):
     p = tmp_path / "data.txt"

@@ -168,15 +168,20 @@ def test_coplanar_pinned_four_take_the_exact_ball(monkeypatch):
 
 def test_noisy_shell_repaired_subset(monkeypatch):
     """A noisy shell's small solve sees only the reduced set; the repair
-    pivots over the full cloud from its support and reaches the full ball."""
+    pivots over the full cloud from its support and reaches the full ball.
+    The cloud fits in one scan chunk, and its repair still goes in rounds
+    that rescan only the rows the centre's shift may have pushed outside:
+    all rows lie near the sphere, and one pivot per scan read 5 N rows."""
     P = noisy_shell(20_000)
+    assert len(P) <= welzl._SCAN_CHUNK
     subsets = []
     real = projection.welzl_solve
     monkeypatch.setattr(projection, "welzl_solve", lambda Q, **kw: subsets.append(Q) or real(Q, **kw))
     rep = projection.solve(P, sel=6, seed=0)
     assert len(subsets) == 1
     assert np.array_equal(subsets[0], P[projection.reduce(P, 6).indices])
-    assert rep.repair_rounds >= 1 and rep.exact_pivots == 0
+    assert rep.repair_rounds >= 2 and rep.exact_pivots == 0
+    assert len(P) <= rep.scanned_rows < 2 * len(P), rep.scanned_rows
     full, _ = welzl_solve(P, seed=0)
     assert rel_err(rep.sphere.radius, full.radius) < 1e-12
 
@@ -338,34 +343,45 @@ def test_farthest_outside_tie_across_chunks_takes_first_row():
     assert welzl._farthest_outside(P, ball) == c == _farthest_reference(P, ball)
 
 
-def _outside_rows_reference(P, ball):
-    """Every block's farthest row beyond ``_limit``, by a full-array argmax per block."""
-    cx, cy, cz = ball.c
-    d2 = (P[:, 0] - cx) ** 2 + (P[:, 1] - cy) ** 2 + (P[:, 2] - cz) ** 2
+def _outside_rows_reference(P, ball, per=welzl._BLOCK):
+    """Every block's farthest row beyond ``_limit``, by a full-array argmax
+    per block of ``per`` rows: with ``per=1``, every row beyond it."""
+    d2 = _sq_dist_reference(P, ball.c)
     far = welzl._limit(ball)
-    rows = [lo + int(d2[lo:lo + welzl._BLOCK].argmax()) for lo in range(0, len(P), welzl._BLOCK)]
+    rows = [lo + int(d2[lo:lo + per].argmax()) for lo in range(0, len(P), per)]
     return [i for i in rows if d2[i] > far]
 
 
 @pytest.mark.parametrize("n", [1, 1000, welzl._SCAN_CHUNK, welzl._SCAN_CHUNK + 1, 2 * welzl._SCAN_CHUNK + 777])
 @pytest.mark.parametrize("offset", [0.0, 1e6])
 def test_outside_rows_match_block_argmax(n, offset):
-    """The candidate scan returns every block's farthest row beyond the limit,
-    in row order, for clouds below, at and above one chunk and moved far
-    from the origin; the global farthest row is among them. A full scan
-    computes every row's distance and bounds every block by its rows'."""
+    """The candidate scan returns, in row order, every block's farthest row
+    beyond the limit for clouds above one chunk, and every row beyond it
+    for clouds of at most one chunk, also moved far from the origin; the
+    global farthest row is among them. A full scan computes every row's
+    distance and bounds every block by its rows', or keeps each row's own
+    distance as its bound."""
     P = generate("uniform-ball", n, seed=n % 97) + offset
     bound, bufs = welzl._workspace(n)
+    per = 1 if n <= welzl._SCAN_CHUNK else welzl._BLOCK
+    assert len(bound) == -(-n // per)
     for c, r2 in (((0.0, 0.0, 0.0), 0.25), ((0.1, -0.2, 0.05), 0.5), ((0.0, 0.0, 0.0), 4.0)):
         ball = welzl._Ball(tuple(x + offset for x in c), r2, ())
         rows, scanned = welzl._outside_rows(P, ball, bound, bufs)
-        assert rows.tolist() == _outside_rows_reference(P, ball), (n, c, r2)
+        assert rows.tolist() == _outside_rows_reference(P, ball, per), (n, c, r2)
         assert scanned == n, (n, c, r2)
         j = _farthest_reference(P, ball)
         assert (j < 0) == (len(rows) == 0) and (j < 0 or j in rows.tolist()), (n, c, r2)
         d2 = _sq_dist_reference(P, ball.c)
+        if per == 1:
+            assert np.array_equal(bound, d2), (n, c, r2)
+            some = np.arange(0, n, 3)
+            bound[some] = np.nan
+            again, scanned = welzl._outside_rows(P, ball, bound, bufs, some)
+            assert again.tolist() == [i for i in rows.tolist() if i % 3 == 0], (n, c, r2)
+            assert scanned == len(some) and np.array_equal(bound, d2), (n, c, r2)
         for b in range(0, len(bound), 7):
-            assert d2[b * welzl._BLOCK:(b + 1) * welzl._BLOCK].max() <= bound[b], (n, c, r2, b)
+            assert d2[b * per:(b + 1) * per].max() <= bound[b], (n, c, r2, b)
 
 
 def test_outside_rows_tie_in_block_takes_first_row():
