@@ -275,8 +275,8 @@ def test_noisy_shell_repair_is_bounded(monkeypatch):
     """Worst case for repair: a 2e5-point shell with 1e-7 radial noise, on
     which nearly every point is a hull vertex. The small solve sees only the
     reduced set (at most 4k rows), and the repair takes 6 pivots at k = 1
-    (also the automatic choice) and at 6, over two full scans: one gathers
-    3125 candidates, the other finds no point outside."""
+    and at 6, over two full scans: one gathers 3125 candidates, the other
+    finds no point outside. From the automatic k's sampled start it takes 7."""
     P = noisy_shell(200_000)
     full, _ = welzl_solve(P, seed=0)
     sizes = []
@@ -289,6 +289,83 @@ def test_noisy_shell_repair_is_bounded(monkeypatch):
         assert rep.exact_pivots == 0, sel
         assert rep.repair_rounds <= 16, sel
         assert rel_err(rep.sphere.radius, full.radius) < 1e-12, sel
+
+
+_STEP_2E5 = 200_000 // projection._SCAN_CHUNK  # the automatic k's sample stride at 2e5 points
+
+
+def _reduced_rows(monkeypatch, P, sel):
+    """``solve(P, sel)``, the row count of each cloud its ``reduce`` saw and
+    the points of its small solve."""
+    seen, small = [], []
+    real, real_small = projection.reduce, projection.welzl_solve
+    monkeypatch.setattr(projection, "reduce", lambda Q, k: seen.append(len(Q)) or real(Q, k))
+    monkeypatch.setattr(projection, "welzl_solve", lambda Q, **kw: small.append(Q) or real_small(Q, **kw))
+    return solve(P, sel=sel), seen, small
+
+
+@pytest.mark.parametrize("kind", kinds())
+def test_sampled_start_is_exact(kind, monkeypatch):
+    """At the automatic k a 2e5-point cloud is reduced through a strided
+    sample of about one scan chunk; the repair from the sample's ball ends
+    on welzl_solve's ball and encloses every point."""
+    P = generate(kind, 200_000, seed=3)
+    rep, seen, small = _reduced_rows(monkeypatch, P, None)
+    S = P[::_STEP_2E5]
+    assert seen == [len(S)], kind
+    assert np.array_equal(small[0], S[reduce(S, rep.k).indices]), kind
+    assert rep.reduced_size == len(small[0]), kind
+    ref, _ = welzl_solve(P)
+    r = rep.sphere.radius
+    assert rel_err(r, ref.radius) < 1e-12, kind
+    assert max_violation(P, rep.sphere.center, r) <= 1e-12 * r, kind
+
+
+def test_sampled_start_finds_a_support_off_the_stride(monkeypatch):
+    """A regular tetrahedron on the unit sphere, planted on rows the sample
+    skips (row % stride != 0) of a 2e5-point ball of radius 0.9: the
+    sample's ball misses all four, and the full-cloud repair still ends on
+    them."""
+    P = generate("uniform-ball", 200_000, seed=4)
+    P *= 0.9 / np.linalg.norm(P, axis=1).max()
+    rows = [1, 7 * _STEP_2E5 + 5, 100_003, 199_999]
+    assert all(i % _STEP_2E5 for i in rows)
+    P[rows] = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)
+    rep, seen, _ = _reduced_rows(monkeypatch, P, None)
+    assert seen == [len(P[::_STEP_2E5])]
+    assert rep.support_indices == tuple(rows)
+    assert rep.repair_rounds > 0
+    ref, _ = welzl_solve(P)
+    r = rep.sphere.radius
+    assert rel_err(r, ref.radius) < 1e-12 and rel_err(r, 1.0) < 1e-12
+    assert max_violation(P, rep.sphere.center, r) <= 1e-12 * r
+
+
+@pytest.mark.parametrize("kind", kinds())
+def test_no_sample_below_two_scan_chunks(kind, monkeypatch):
+    """Below two scan chunks the stride is 1: the automatic k solves bit
+    for bit as a named k = 1, on the whole cloud."""
+    P = generate(kind, 2 * projection._SCAN_CHUNK - 1, seed=2)
+    auto, seen, _ = _reduced_rows(monkeypatch, P, None)
+    named = solve(P, sel=1)
+    assert seen == [len(P)] * 2, kind
+    assert np.array_equal(auto.sphere.center, named.sphere.center), kind
+    assert auto.sphere.radius == named.sphere.radius, kind
+    assert auto.support_indices == named.support_indices, kind
+    assert (auto.reduced_size, auto.repair_rounds, auto.exact_pivots, auto.scanned_rows) == \
+        (named.reduced_size, named.repair_rounds, named.exact_pivots, named.scanned_rows), kind
+
+
+@pytest.mark.parametrize("sel", [1, 6, KSelection("general", 24)])
+def test_named_k_reduces_the_whole_cloud(sel, monkeypatch):
+    """A named k reduces all rows, at any size: the reduced set is
+    ``reduce``'s on the full cloud."""
+    P = generate("uniform-ball", 200_000, seed=5)
+    rep, seen, small = _reduced_rows(monkeypatch, P, sel)
+    want = reduce(P, sel).indices
+    assert seen == [len(P)]
+    assert rep.reduced_size == len(want)
+    assert np.array_equal(small[0], P[want])
 
 
 @pytest.mark.parametrize("scale", [10.0 ** e for e in range(-12, 13)] + ["offset"],

@@ -473,12 +473,13 @@ def test_row_bounds_list_every_row_outside(offset, scale):
 
 
 # scans (calls of ``welzl._outside_rows``) of ``solve`` on 2e5 points per kind,
-# seed 7, as measured when the batched rounds were introduced (one full scan
-# per pivot took 10, 4, 1, 5, 1, 3 and 5 on these clouds), and a bound on
-# the rows they compute a distance for, in units of the cloud's size; the
-# start ball of the clustered cloud is poor, so its second scan is full
-_SCANS_2E5 = {"uniform-ball": (4, 2), "uniform-cube": (2, 2), "collinear": (1, 2), "coplanar-disk": (4, 2),
-              "co-spherical": (1, 2), "clustered": (3, 3), "near-degenerate": (4, 2)}
+# seed 7, as measured from the automatic k's sampled start (from the whole
+# cloud's reduce they were 4, 2, 1, 4, 1, 3 and 4; one full scan per pivot
+# took 10, 4, 1, 5, 1, 3 and 5), and a bound on the rows they compute a
+# distance for, in units of the cloud's size; the start ball of the
+# clustered cloud is poor, so its second scan is full
+_SCANS_2E5 = {"uniform-ball": (4, 2), "uniform-cube": (2, 2), "collinear": (2, 2), "coplanar-disk": (2, 2),
+              "co-spherical": (1, 2), "clustered": (3, 3), "near-degenerate": (2, 2)}
 
 
 @pytest.mark.parametrize("kind", sorted(_SCANS_2E5))
