@@ -10,7 +10,7 @@ pokes out.
 
 import numpy as np
 
-from minisphere import reduce, select_k, solve
+from minisphere import reduce, solve
 from minisphere.datagen import generate
 
 # --- the direction matrix -------------------------------------------------
@@ -46,12 +46,13 @@ for n, (d, pick) in enumerate(zip(D, red.picks)):
 print("row 8 (the interior center) is never selected:", 8 not in red.indices)
 
 # --- the budget and the automatic plane count ----------------------------
-# a measured constant: four extremes and a few full-cloud pivots were the
-# fastest total over every generator kind from 1e4 to 1e6 points
+# sel=None means k = 1, a measured constant: four extremes and a few
+# full-cloud pivots were the fastest total over every generator kind from
+# 1e4 to 1e6 points; from 65,536 points up only a strided sample is reduced
 print()
-for n in (100, 10_000, 1_000_000):
-    sel = select_k(n)
-    print(f"n={n:>9,}: auto k={sel.k} -> reduced set capped at {4 * sel.k} points")
+for n in (100, 10_000, 100_000):
+    rep = solve(generate("uniform-ball", n, seed=1), seed=1)
+    print(f"n={n:>7,}: auto k={rep.k} -> reduced set of {rep.reduced_size} (at most {4 * rep.k}) points")
 
 # --- end to end, with the reduction visible in the report ----------------
 Q = generate("co-spherical", 50_000, seed=7)

@@ -4,7 +4,7 @@ implementations, and this script runs the fast paths against them."""
 
 import numpy as np
 
-from minisphere import brute_force_ses, is_hull_vertex, reduce, select_k, solve, welzl_solve
+from minisphere import brute_force_ses, is_hull_vertex, reduce, solve, welzl_solve
 from minisphere.datagen import generate, kinds
 
 print(f"{'kind':16s} {'n':>3s}  {'oracle r':>18s}  {'welzl rel':>9s}  {'solve rel':>9s}")
@@ -24,7 +24,7 @@ print(f"\nworst relative disagreement across all of the above: {worst:.2e}")
 
 # the reduction only ever picks convex hull vertices; check with the LP oracle
 P = generate("clustered", 40, seed=5)
-red = reduce(P, select_k(len(P)))
+red = reduce(P, 1)  # k = 1, as solve picks
 flags = [is_hull_vertex(int(i), P) for i in red.indices]
 print(f"\nreduced rows {red.indices.tolist()}")
 print(f"all hull vertices: {all(flags)}")
@@ -32,5 +32,5 @@ print(f"all hull vertices: {all(flags)}")
 # and interior points are provably never picked
 center = P.mean(axis=0)
 Q = np.vstack([P, center[None, :]])
-red = reduce(Q, select_k(len(Q)))
+red = reduce(Q, 1)
 print(f"appended centroid (row 40) selected: {40 in red.indices}")

@@ -27,7 +27,6 @@ from .projection import (
     ReducedSet,
     SolveReport,
     reduce,
-    select_k,
     solve,
 )
 from .welzl import SupportSet, welzl_solve
@@ -50,7 +49,6 @@ __all__ = [
     "ReducedSet",
     "SolveReport",
     "reduce",
-    "select_k",
     "solve",
     "brute_force_ses",
     "is_hull_vertex",

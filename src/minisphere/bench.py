@@ -39,8 +39,8 @@ def run_scaling(sizes, strategy: str = "projection", seeds=(0, 1, 2), k_mode=24,
     strategy : ``solve``'s strategy, "projection" (reduce + repair) or
         "welzl" (full cloud); ``solve`` rejects any other.
     seeds : at least 3 seeds; the per-size time is the median over seeds.
-    k_mode : ``solve``'s ``sel``: a fixed plane count, or None to let
-        select_k pick per size. ``solve`` rejects any other value.
+    k_mode : ``solve``'s ``sel``: a fixed plane count, or None for its
+        automatic k. ``solve`` rejects any other value.
     kind : generator for the test clouds.
 
     A warm-up solve per size is discarded before timing.

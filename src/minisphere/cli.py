@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--strategy", choices=("projection", "welzl"), default="projection",
                          help="projection: reduce, solve, repair; welzl: solve the full cloud")
     p_solve.add_argument("--k", type=_k_arg, default=None,
-                         help="projection plane count, or 'auto'")
+                         help="projection plane count, or 'auto': k = 1, on a sample from 65,536 points up")
     p_solve.add_argument("--seed", type=_seed_value, default=None,
                          help="seed recorded in the report; the solve does not read it "
                               "(default: $MINISPHERE_SEED or 0)")
@@ -178,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scal.add_argument("--seeds", type=_int_list, default=[0, 1, 2],
                         help="comma list or a..b range, at least 3")
     p_scal.add_argument("--k", type=_k_arg, default=24,
-                        help="fixed plane count, or 'auto' for select_k")
+                        help="fixed plane count, or 'auto' as in solve")
     p_scal.add_argument("--strategy", choices=("projection", "welzl"), default="projection")
     p_scal.add_argument("--kind", choices=datagen.kinds(), default="uniform-ball")
     p_scal.add_argument("--out", default=None, help="write the report here instead of stdout")

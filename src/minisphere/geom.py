@@ -57,8 +57,9 @@ _FAIR_L2 = (2.0 ** -300, 2.0 ** 300)
 def as_cloud(points) -> np.ndarray:
     """Validate and normalize a point cloud to a C-contiguous (N, 3) float64 array.
 
-    An empty cloud raises EmptyInputError; a coordinate that is not finite
-    or lies beyond ±1e150, where squared distances overflow, raises
+    An empty cloud raises EmptyInputError; input that is not an (N, 3)
+    array of real numbers, or a coordinate that is not finite or lies
+    beyond ±1e150, where squared distances overflow, raises
     InvalidGeometryError. Chunked min and max: no (N, 3) temporary.
     """
     return _checked(points)[0]
@@ -82,7 +83,12 @@ def _unit_cloud(points) -> tuple[np.ndarray, int]:
 
 def _checked(points) -> tuple[np.ndarray, float]:
     """``as_cloud``'s array and the largest |coordinate| of the cloud."""
-    P = np.asarray(points, dtype=np.float64)
+    try:
+        if getattr(getattr(points, "dtype", None), "kind", "") == "c":
+            raise TypeError("complex coordinates")  # asarray would drop the imaginary part
+        P = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged rows, strings, complex numbers
+        raise InvalidGeometryError(f"expected an (N, 3) array of real numbers: {exc}") from None
     if P.ndim == 1 and P.size == 0:
         P = P.reshape(0, 3)
     if P.ndim != 2 or P.shape[1] != 3:

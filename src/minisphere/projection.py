@@ -22,8 +22,8 @@ full scan. Below two scan chunks the stride is 1 and the whole cloud is
 reduced; at stride 2 the sample measured level with the whole cloud, and
 at stride 3 level to 8 % faster. A named k always reduces the whole cloud.
 ``solve`` is the one entry point for the library, the CLI and the bench;
-``strategy="welzl"`` makes it run ``welzl_solve`` on the full cloud and
-report that the same way.
+``strategy="welzl"`` skips the reduced set and pivots over the full cloud
+from its first four rows, which is ``welzl_solve``.
 
 All 4K extremes come from one fused kernel: the (4K, 3) direction matrix
 times a column chunk of the cloud, into one reused buffer of about 1 MB,
@@ -54,8 +54,8 @@ _BLOCK_ELEMS = 2 ** 17  # doubles per reduce block: ~1 MB, which keeps BLAS thre
 class KSelection(NamedTuple):
     """A plane count ``k``, which buys 4k reduce directions.
 
-    ``mode`` says how k was chosen; "general" (``select_k`` or a fixed
-    count) is the only mode.
+    ``reduce`` and ``solve`` take it in place of a bare count. ``mode`` is
+    a label the solver does not read; "general" is the only one in use.
     """
 
     mode: str
@@ -90,10 +90,9 @@ class SolveReport:
     read on a cloud of at most one scan chunk, or else 64 per block.
     ``timings``: ``ingest_ms`` (validation), ``reduce_ms``,
     ``solve_ms`` (the reduced set's solve), ``verify_ms`` (the full-cloud
-    scans and all pivots). For ``strategy == "welzl"``, ``k`` and
-    ``reduced_size`` are None, ``repair_rounds``, ``exact_pivots``,
-    ``scanned_rows``, ``reduce_ms`` and ``verify_ms`` are 0, and
-    ``solve_ms`` is ``welzl_solve`` on the full cloud.
+    scans and all pivots). ``strategy == "welzl"`` has no reduced set:
+    ``k`` and ``reduced_size`` are None, ``reduce_ms`` and ``solve_ms``
+    are 0, and the counters count its pivots from the first four rows.
     """
 
     sphere: Sphere
@@ -223,55 +222,44 @@ def reduce(points, sel) -> ReducedSet:
     return ReducedSet(indices, picks)
 
 
-def select_k(n) -> KSelection:
-    """The automatic plane count: k = 1 (four directions) at every n >= 1.
-
-    A measured constant: over k in {1, 2, 3, 4, 6, 12}, every ``datagen``
-    kind and n in {1e4, 1e5, 1e6}, k = 1 had the least total solve time.
-    """
-    n = operator.index(n)
-    if n < 1:
-        raise InvalidParamsError(f"point count must be at least 1, got {n}")
-    return KSelection("general", 1)
-
-
 def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> SolveReport:
     """Smallest enclosing sphere of a cloud, by reduction or by the full solve.
 
     Parameters
     ----------
     points : (N, 3) array-like, N >= 1.
-    sel : KSelection, bare plane count, or None (auto: select_k(N)). Any
-        other value must be a positive integer count, or InvalidKError is
-        raised, as in ``reduce``. Only the projection strategy reads it.
-        A named count reduces the whole cloud. None reduces every
+    sel : KSelection, bare plane count, or None. Any other value must be
+        a positive integer count, or InvalidKError is raised, as in
+        ``reduce``. Only the projection strategy reads it. A named count
+        reduces the whole cloud. None means k = 1, four directions: over
+        k in {1, 2, 3, 4, 6, 12}, every ``datagen`` kind and N in {1e4,
+        1e5, 1e6}, it had the least total solve time. It reduces every
         ``N // _SCAN_CHUNK``-th row, about one scan chunk, once N reaches
         two scan chunks (65,536 rows); below that, the whole cloud, bit
         for bit as ``sel=1``.
     seed : recorded in the report; the solve is deterministic and does
         not read it.
     strategy : "projection" (reduce, solve, verify and repair) or "welzl"
-        (``welzl_solve`` on the full cloud); anything else raises
-        InvalidParamsError.
+        (no reduced set); anything else raises InvalidParamsError.
 
     Returns
     -------
     SolveReport. With "projection", the reduced set's ball, of the
     sample or of the whole cloud, is the start of a pivoting over the
     full cloud: while a point lies outside (beyond a band of rounding
-    size), the farthest one joins the support and the ball is rebuilt. Each scan gathers candidates outside the ball, every
-    such row on a cloud of at most one scan chunk and the farthest of
-    every 64-row block on a larger one, and the pivots run over those in
-    memory before the next scan. Only the first scan is full: later ones
-    read just the rows or blocks whose distance bound, grown by the
-    centre's shift, may exceed the new limit, and find the rows a full
-    scan would. The loop ends on a scan that finds no point outside. Each
-    pivot is a repair round. If rounding stalls a pivot, that pivot and
-    all later ones are taken in exact arithmetic and ``exact_pivots``
-    counts them. ``scanned_rows`` counts the rows the scans read. With
-    "welzl", ``k`` and ``reduced_size`` are None, ``repair_rounds`` and
-    ``scanned_rows`` are 0, and everything after ingest is timed as
-    ``solve_ms``.
+    size), the farthest one joins the support and the ball is rebuilt.
+    Each scan gathers candidates outside the ball, every such row on a
+    cloud of at most one scan chunk and the farthest of every 64-row
+    block on a larger one, and the pivots run over those in memory before
+    the next scan. Only the first scan is full: later ones read just the
+    rows or blocks whose distance bound, grown by the centre's shift, may
+    exceed the new limit, and find the rows a full scan would. The loop
+    ends on a scan that finds no point outside. With "welzl", the
+    pivoting starts from the first four rows instead, one full scan per
+    pivot, and gives ``welzl_solve``'s sphere and support. Each pivot is
+    a repair round. If rounding stalls a pivot, that pivot and all later
+    ones are taken in exact arithmetic and ``exact_pivots`` counts them.
+    ``scanned_rows`` counts the rows the scans read.
 
     There is no tolerance argument and no cloud scale: every band is
     relative to the ball or the points it tests, so scaling a cloud by a
@@ -285,15 +273,10 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
         raise InvalidParamsError(f"unknown strategy {strategy!r}")
     t0 = time.perf_counter()
     P, e = _unit_cloud(points)
-    if strategy == "welzl":
-        k = reduced_size = None
-        t_in = t1 = time.perf_counter()  # no reduce stage
-        sphere, support = _pivot_solve(P)[:2]  # welzl_solve on the cloud validated above
-        t2 = t3 = time.perf_counter()
-        pivots = exact = scanned = 0
-    else:
-        t_in = time.perf_counter()
-        k = _plane_count(select_k(len(P)) if sel is None else sel)
+    t_in = t1 = t2 = time.perf_counter()
+    k = reduced_size = start = None
+    if strategy == "projection":
+        k = 1 if sel is None else _plane_count(sel)
         step = max(1, len(P) // _SCAN_CHUNK) if sel is None else 1
         rows = reduce(np.ascontiguousarray(P[::step]), k).indices * step  # copied: reduce validates a strided view slowly
         reduced_size = int(len(rows))
@@ -301,8 +284,8 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
         small, sup = welzl_solve(P[rows], seed=seed)
         t2 = time.perf_counter()
         start = _solved_ball(P, small, rows[list(sup.indices)].tolist())
-        sphere, support, pivots, exact, scanned = _pivot_solve(P, start)
-        t3 = time.perf_counter()
+    sphere, support, pivots, exact, scanned = _pivot_solve(P, start)
+    t3 = time.perf_counter()
 
     return SolveReport(
         sphere=_scaled(sphere, e) if e else sphere,

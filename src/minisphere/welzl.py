@@ -24,11 +24,11 @@ loop ends only on a scan that finds no point outside, every row it skips
 certified by its bound.
 Near-co-spherical inputs drive the ball constructors hard, so all
 candidate-sphere math runs on bare floats, with two exceptions that use
-exact rational arithmetic on at most five points (``_exact_ball``): four
-pinned points that are coplanar, and every pivot from the first one
-whose float ball did not grow on. An exact ball is the exact min ball of
-its support, so from then on each pivot grows the exact radius and the
-loop ends.
+exact rational arithmetic on at most five points (``_exact_ball``): a
+degenerate pinned set (three collinear points or four coplanar ones),
+and every pivot from the first one whose float ball did not grow on. An
+exact ball is the exact min ball of its support, so from then on each
+pivot grows the exact radius and the loop ends.
 """
 
 from __future__ import annotations
@@ -424,9 +424,7 @@ def _ball3(e1, e2, e3) -> _Ball:
     try:
         ox, oy, oz, r2 = _circum3(e1[0], e2[0], e3[0], _EPS)
     except DegenerateCollinear:
-        # collinear: the extreme pair's ball covers the middle point
-        balls = (_ball2(e1, e2), _ball2(e1, e3), _ball2(e2, e3))
-        return max(balls, key=lambda b: b.r2)
+        return _exact_ball((e1, e2, e3))
     return _Ball((ox, oy, oz), r2, (e1, e2, e3))
 
 

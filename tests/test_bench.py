@@ -17,7 +17,7 @@ def test_scaling_validation():
     with pytest.raises(InvalidParamsError):
         run_scaling([1000, 2000], strategy="bogo")
     with pytest.raises(InvalidKError):
-        run_scaling([1000, 2000], k_mode="general")  # None asks for select_k
+        run_scaling([1000, 2000], k_mode="general")  # None asks for the automatic k
 
 
 def test_scaling_report_structure():

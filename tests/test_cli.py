@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import minisphere
+from minisphere import welzl
 from minisphere.cli import main
 from minisphere.cloudio import load_points
 from minisphere.datagen import generate
+from minisphere.geom import as_cloud
 from minisphere.projection import solve
 
 from conftest import cube_corners, rel_err
@@ -51,7 +54,10 @@ def test_solve_welzl_strategy_nulls_projection_fields(capsys, cube_csv):
     assert doc["strategy"] == "welzl"
     assert doc["k"] is None
     assert doc["reduced_size"] is None
-    assert doc["repair_rounds"] == doc["scanned_rows"] == 0
+    pivots, exact, scanned = welzl._pivot_solve(as_cloud(load_points(cube_csv)))[2:]
+    assert (doc["repair_rounds"], doc["exact_pivots"], doc["scanned_rows"]) == (pivots, exact, scanned)
+    assert doc["timings"]["reduce_ms"] == doc["timings"]["solve_ms"] == 0.0
+    assert doc["timings"]["verify_ms"] > 0.0
     assert rel_err(doc["sphere"]["radius"], math.sqrt(3.0) / 2.0) < 1e-12
 
 
@@ -200,23 +206,35 @@ def test_subprocess_determinism_modulo_timings(tmp_path):
 _NO_SCIPY = """
 import runpy, sys
 import minisphere
-assert "scipy" not in sys.modules, "import minisphere loaded scipy"
+for lazy in ("scipy", "fractions"):
+    assert lazy not in sys.modules, "import minisphere loaded " + lazy
 sys.argv = ["minisphere", "solve", sys.argv[1]]
 try:
     runpy.run_module("minisphere", run_name="__main__", alter_sys=True)
 except SystemExit as stop:
     assert not stop.code, stop.code
-assert "scipy" not in sys.modules, "minisphere solve loaded scipy"
+for lazy in ("scipy", "fractions"):
+    assert lazy not in sys.modules, "minisphere solve loaded " + lazy
 """
 
 
 def test_import_and_solve_leave_scipy_unloaded(tmp_cloud_file):
-    """Only the oracles use SciPy, so neither ``import minisphere`` nor
-    ``python -m minisphere solve`` on a 1e4-point file loads it."""
+    """Only the oracles use SciPy and only exact pivots use ``fractions``,
+    so neither ``import minisphere`` nor ``python -m minisphere solve`` on
+    a 1e4-point file that takes no exact pivot loads them."""
     cloud = tmp_cloud_file(generate("uniform-ball", 10_000, seed=0), fmt="xyz")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(cloud)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout)["input_count"] == 10_000
+    doc = json.loads(proc.stdout)
+    assert doc["input_count"] == 10_000
+    assert doc["exact_pivots"] == 0
+
+
+def test_every_public_name_resolves():
+    """Each name in ``minisphere.__all__`` is an attribute of the package."""
+    missing = [name for name in minisphere.__all__ if not hasattr(minisphere, name)]
+    assert not missing
+    assert len(set(minisphere.__all__)) == len(minisphere.__all__)

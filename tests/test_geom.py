@@ -116,6 +116,20 @@ def test_as_cloud_accepts_lists_and_rejects_bad_shapes():
         as_cloud([[0, 0, np.nan]])
 
 
+@pytest.mark.parametrize("bad", [[[1, 2, 3], [4, 5]], [["a", "b", "c"]], [[1j, 0, 0]], np.array([[1j, 0, 0]])],
+                         ids=["ragged", "strings", "complex-list", "complex-array"])
+def test_malformed_array_likes_raise_invalid_geometry(bad):
+    """Input NumPy cannot read as real (N, 3) coordinates raises
+    InvalidGeometryError, not NumPy's own error, in every entry point;
+    a complex array is not cast with its imaginary part dropped."""
+    from minisphere.projection import reduce, solve
+    from minisphere.welzl import welzl_solve
+
+    for call in (as_cloud, lambda P: reduce(P, 1), welzl_solve, solve):
+        with pytest.raises(InvalidGeometryError):
+            call(bad)
+
+
 CHUNK = geom._CHECK_ROWS
 
 

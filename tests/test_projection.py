@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from minisphere import projection
+from minisphere import projection, welzl
 from minisphere.datagen import generate, kinds
 from minisphere.errors import InvalidGeometryError, InvalidKError, InvalidParamsError
+from minisphere.geom import as_cloud
 from minisphere.oracle import is_hull_vertex
-from minisphere.projection import KSelection, reduce, select_k, solve
+from minisphere.projection import KSelection, reduce, solve
 from minisphere.welzl import welzl_solve
 
 from conftest import cube_corners, max_violation, noisy_shell, random_rotation, rel_err
@@ -158,28 +159,6 @@ def test_reduce_keeps_extremes_of_rotated_cloud():
     assert rel_err(sub.radius, full.radius) < 1e-9
 
 
-class TestSelectK:
-    def test_frozen_table(self):
-        # the measured constant: k = 1 at every size
-        assert select_k(16).k == 1
-        assert select_k(10_000).k == 1
-        assert select_k(1_000_000).k == 1
-        assert select_k(1).k == 1
-        assert select_k(30).k == 1
-
-    def test_validation(self):
-        with pytest.raises(InvalidParamsError):
-            select_k(0)
-
-    def test_monotone_and_bounded(self):
-        prev = 0
-        for n in (1, 10, 100, 1000, 10_000, 100_000, 1_000_000):
-            k = select_k(n).k
-            assert k == 1
-            assert k >= prev
-            prev = k
-
-
 class TestSolve:
     def test_cube_plus_center(self):
         P = np.vstack([cube_corners(), [[0.5, 0.5, 0.5]]])
@@ -202,13 +181,14 @@ class TestSolve:
         assert set(d["timings"]) == {"ingest_ms", "reduce_ms", "solve_ms", "verify_ms"}
         assert set(d["sphere"]) == {"center", "radius"}
         assert d["strategy"] == "projection"
-        assert d["k"] == select_k(500).k
+        assert d["k"] == 1  # sel=None
         assert all(t >= 0.0 for t in d["timings"].values())
         assert sorted(rep.support_indices) == list(rep.support_indices)
 
     def test_welzl_strategy_is_welzl_solve(self):
         """strategy="welzl" reports welzl_solve's own sphere and support, bit
-        for bit, whatever ``sel`` says."""
+        for bit, whatever ``sel`` says, and the counters of its pivoting
+        over the validated cloud, all timed as ``verify_ms``."""
         for kind in ("uniform-ball", "co-spherical", "coplanar-disk", "collinear"):
             P = generate(kind, 2000, seed=5)
             rep = solve(P, sel=3, seed=5, strategy="welzl")
@@ -216,10 +196,12 @@ class TestSolve:
             assert np.array_equal(rep.sphere.center, ref.center), kind
             assert rep.sphere.radius == ref.radius, kind
             assert rep.support_indices == sup.indices, kind
-            assert (rep.strategy, rep.k, rep.reduced_size, rep.repair_rounds) == ("welzl", None, None, 0)
-            assert rep.exact_pivots == rep.scanned_rows == 0
-            assert rep.timings["reduce_ms"] == rep.timings["verify_ms"] == 0.0
-            assert rep.timings["solve_ms"] > 0.0
+            assert (rep.strategy, rep.k, rep.reduced_size) == ("welzl", None, None)
+            pivots, exact, scanned = welzl._pivot_solve(as_cloud(P))[2:]
+            assert (rep.repair_rounds, rep.exact_pivots, rep.scanned_rows) == (pivots, exact, scanned), kind
+            assert scanned == len(P) * (pivots + 1), kind
+            assert rep.timings["reduce_ms"] == rep.timings["solve_ms"] == 0.0
+            assert rep.timings["verify_ms"] > 0.0
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(InvalidParamsError):

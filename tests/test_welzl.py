@@ -7,6 +7,8 @@ import pytest
 
 from minisphere import projection, welzl
 from minisphere.datagen import generate, kinds
+from minisphere.errors import DegenerateCollinear
+from minisphere.geom import sphere_from_three
 from minisphere.geom import tolerance_for
 from minisphere.oracle import brute_force_ses
 from minisphere.welzl import welzl_solve
@@ -164,6 +166,29 @@ def test_coplanar_pinned_four_take_the_exact_ball(monkeypatch):
     assert rel_err(math.sqrt(ball.r2), 1.5 * math.sqrt(2.0)) < 1e-15
     assert np.allclose(ball.c, (1.5, 1.5, 0.0), rtol=0, atol=1e-15)
     assert sorted(i for _, i in ball.support) == [-1, 1]
+
+
+@pytest.mark.parametrize("h", [0.0, 2.0 ** -40, 2.0 ** -32], ids=["exact", "2^-40", "2^-32"])
+def test_collinear_pinned_three_take_the_exact_ball(h, monkeypatch):
+    """Three pinned points inside the collinear cut, the middle one h off
+    the line through the others: no circle is built, and _ball3 takes the
+    exact min ball of the three, the ball on the segment between the
+    extreme pair, in every order."""
+    calls = []
+    real = welzl._exact_ball
+    monkeypatch.setattr(welzl, "_exact_ball", lambda *a: calls.append(1) or real(*a))
+    pts = [(-1.0, 2.0, 0.5), (0.5, 2.0 + h, 0.5), (3.0, 2.0, 0.5)]
+    want = brute_force_ses(np.array(pts))
+    for order in itertools.permutations(range(3)):
+        with pytest.raises(DegenerateCollinear):
+            sphere_from_three(*(pts[i] for i in order))
+        calls.clear()
+        ball = welzl._ball3(*((pts[i], i) for i in order))
+        assert calls, order
+        assert sorted(i for _, i in ball.support) == [0, 2], order
+        assert ball.c == (1.0, 2.0, 0.5) and ball.r2 == 4.0, order
+        assert rel_err(math.sqrt(ball.r2), want.radius) < 1e-12, order
+        assert np.allclose(ball.c, want.center, rtol=0, atol=1e-12), order
 
 
 def test_noisy_shell_repaired_subset(monkeypatch):
@@ -470,6 +495,19 @@ def test_row_bounds_list_every_row_outside(offset, scale):
         listed += len(rows)
         c = new_c
     assert listed < n // 2, listed
+
+
+def test_grown_asks_for_a_full_scan_when_the_centre_moves_beyond_the_radius():
+    """A shift longer than the new radius bounds nothing: ``_grown``
+    returns None, for a full scan, and leaves the bounds as they were."""
+    bound = np.array([0.5, 1.0, 2.0, 4.0])
+    before = bound.copy()
+    new = welzl._Ball((3.0, 0.0, 0.0), 4.0, ())
+    assert welzl._grown(bound, (0.0, 0.0, 0.0), new, len(bound)) is None
+    assert np.array_equal(bound, before)
+    # a shift within the radius lists entries and grows every bound
+    assert welzl._grown(bound, (2.5, 0.0, 0.0), new, len(bound)) is not None
+    assert (bound > before).all()
 
 
 # scans (calls of ``welzl._outside_rows``) of ``solve`` on 2e5 points per kind,
