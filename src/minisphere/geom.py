@@ -2,9 +2,9 @@
 
 Points are plain sequences or numpy arrays of three floats; point clouds
 are (N, 3) float64 arrays. All comparisons against a radius happen on
-squared distances. Degeneracy thresholds are relative to the local extent
-of the points involved, and containment bands are relative to the sphere
-or to a given ``Tolerance``, so scaling a cloud scales every band with it.
+squared distances. The one degeneracy cut, ``_EPS``, is relative to the
+extent of the points tested, and the containment band to the sphere, so
+scaling a cloud scales every band with it.
 """
 
 from __future__ import annotations
@@ -29,15 +29,15 @@ class Sphere(NamedTuple):
     radius: float
 
 
+_EPS = 1e-9  # the degeneracy cut, relative to the extent of the points tested
+
+
 class Tolerance(NamedTuple):
-    """Relative epsilon plus the length scale it applies to.
+    """What ``tolerance_for`` returns: ``_EPS`` and a cloud's bounding-box
+    diagonal, whose product ``abs_eps`` sizes the oracles' and the tests'
+    enclosure bands."""
 
-    ``scale`` is normally a cloud's bounding-box diagonal (``tolerance_for``)
-    or a sphere's diameter (``contains``). The absolute tolerance used in
-    containment checks is ``eps_rel * scale``.
-    """
-
-    eps_rel: float = 1e-9
+    eps_rel: float = _EPS
     scale: float = 0.0
 
     @property
@@ -45,7 +45,6 @@ class Tolerance(NamedTuple):
         return self.eps_rel * self.scale
 
 
-_DEFAULT_TOL = Tolerance()
 _CHECK_ROWS = 32768  # rows per range-check chunk: 768 kB, so max() rereads min()'s rows from cache
 _MAX_COORD = 1e150  # beyond it, squared distances leave the double range
 _TINY_COORD = 2.0 ** -400  # below it, a cloud is solved scaled to unit size (``_unit_cloud``)
@@ -137,16 +136,24 @@ def sphere_from_two(a, b) -> Sphere:
     return Sphere(np.array((cx, cy, cz)), r)
 
 
-def _circum3(pa, pb, pc, eps: float):
-    """Circumcircle core on bare float triples: (ox, oy, oz, r2).
+def _circum3(pa, pb, pc):
+    """Circumcircle core on bare float triples: (ox, oy, oz, r2), or None
+    when the triple is collinear within ``_EPS``.
 
     No input validation, no square root; the hot path of the incremental
-    solver runs through here. Collinearity test in squared form:
-    ``|cross(b - a, c - a)|^2 <= (eps * L^2)^2`` with L^2 the largest
-    squared pairwise distance of the triple. If L^2 lies outside
-    ``_FAIR_L2``, the offsets are first scaled to unit size by an exact
-    power of two, so that no product over- or underflows; inside it the
-    scaling would change no bit of the result.
+    solver runs through here. With u = b - a and v = c - a, the cut, the
+    centre and r2 share ``det = |u x v|^2``: the triple is collinear when
+    ``det <= (_EPS * L^2)^2``, L^2 the largest squared pairwise distance.
+    det computed from the cross product is off by about 2^-52 / sin(u, v)
+    of itself, where ``|u|^2 |v|^2 - (u . v)^2`` is off by 2^-52 / sin^2,
+    more than det itself near the cut; so only a triple within ~1e-7 of
+    the cut may be cut in one order of its points and not in another.
+    r2 is ``|u|^2 |v|^2 |c - b|^2 / (4 det)``, free of the cancellation
+    that the quadratic form in the centre's weights suffers on the huge
+    circle of a near-collinear triple. If L^2 lies outside ``_FAIR_L2``,
+    the offsets are first scaled to unit size by an exact power of two,
+    so that no product over- or underflows; inside it the scaling would
+    change no bit of the result.
     """
     ax, ay, az = pa
     bx, by, bz = pb
@@ -159,33 +166,36 @@ def _circum3(pa, pb, pc, eps: float):
     for scaled in (False, True):
         d11 = ux * ux + uy * uy + uz * uz
         d22 = vx * vx + vy * vy + vz * vz
-        l2 = max(d11, d22, wx * wx + wy * wy + wz * wz)
+        d33 = wx * wx + wy * wy + wz * wz
+        l2 = max(d11, d22, d33)
         if scaled or _FAIR_L2[0] < l2 < _FAIR_L2[1]:
             break
         e, (ux, uy, uz, vx, vy, vz, wx, wy, wz) = _unit_scaled(ux, uy, uz, vx, vy, vz, wx, wy, wz)
+    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    det = nx * nx + ny * ny + nz * nz
+    if det <= (_EPS * l2) ** 2:
+        return None
     d12 = ux * vx + uy * vy + uz * vz
-    det = d11 * d22 - d12 * d12  # == |cross(b-a, c-a)|**2
-    if det <= (eps * l2) ** 2:
-        raise DegenerateCollinear("three points are collinear within tolerance")
     alpha = d22 * (d11 - d12) / (2.0 * det)
     beta = d11 * (d22 - d12) / (2.0 * det)
     return (
         ax + alpha * bax + beta * cax,
         ay + alpha * bay + beta * cay,
         az + alpha * baz + beta * caz,
-        math.ldexp(alpha * alpha * d11 + 2.0 * alpha * beta * d12 + beta * beta * d22, 2 * e),
+        math.ldexp(d11 * d22 * d33 / (4.0 * det), 2 * e),
     )
 
 
-def _circum4(pa, pb, pc, pd, eps: float):
-    """Circumsphere core on bare float triples: (ox, oy, oz, r2, w).
+def _circum4(pa, pb, pc, pd):
+    """Circumsphere core on bare float triples: (ox, oy, oz, r2, w), or
+    None when the quadruple is coplanar within ``_EPS``.
 
     ``w`` is the least barycentric weight of the centre: positive when the
     centre lies inside the tetrahedron, so that the sphere is the min ball
     of the four points. With b, c, d taken relative to a, the centre offset is
     ``(|b|^2 (c x d) + |c|^2 (d x b) + |d|^2 (b x c)) / (2 det)`` where
     ``det = b . (c x d)``. Coplanarity test kept in squared form to avoid
-    square roots: ``det^2 <= (eps * L^3)^2`` with L the largest pairwise
+    square roots: ``det^2 <= (_EPS * L^3)^2`` with L the largest pairwise
     distance of the quadruple; offsets are scaled as in ``_circum3``.
     """
     ax, ay, az = pa
@@ -209,8 +219,8 @@ def _circum4(pa, pb, pc, pd, eps: float):
     dbx, dby, dbz = dy * bz - dz * by, dz * bx - dx * bz, dx * by - dy * bx
     bcx, bcy, bcz = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
     det = bx * cdx + by * cdy + bz * cdz
-    if det * det <= (eps * eps) * l2 ** 3:
-        raise DegenerateCoplanar("four points are coplanar within tolerance")
+    if det * det <= (_EPS * _EPS) * l2 ** 3:
+        return None
     f = 0.5 / det
     x = (b2 * cdx + c2 * dbx + d2 * bcx) * f
     y = (b2 * cdy + c2 * dby + d2 * bcy) * f
@@ -228,39 +238,40 @@ def _unit_scaled(*offsets):
     return e, [math.ldexp(t, -e) for t in offsets]
 
 
-def sphere_from_three(a, b, c, tol: Tolerance | None = None) -> Sphere:
+def sphere_from_three(a, b, c) -> Sphere:
     """Smallest sphere through three points (the circumcircle in their plane).
 
-    Raises DegenerateCollinear when the triangle is flat within tolerance:
-    ``|cross(b - a, c - a)| <= eps_rel * L**2`` with L the largest pairwise
-    distance of the triple.
+    Raises DegenerateCollinear when the triangle is flat within ``_EPS``,
+    in every order of the points: ``|cross(b - a, c - a)| <= 1e-9 * L**2``
+    with L the largest pairwise distance of the triple.
     """
-    eps = (_DEFAULT_TOL if tol is None else tol).eps_rel
-    ox, oy, oz, r2 = _circum3(_p3(a), _p3(b), _p3(c), eps)
-    return Sphere(np.array((ox, oy, oz)), math.sqrt(r2))
+    t = _circum3(_p3(a), _p3(b), _p3(c))
+    if t is None:
+        raise DegenerateCollinear("three points are collinear within tolerance")
+    return Sphere(np.array(t[:3]), math.sqrt(t[3]))
 
 
-def sphere_from_four(a, b, c, d, tol: Tolerance | None = None) -> Sphere:
+def sphere_from_four(a, b, c, d) -> Sphere:
     """Unique sphere through four points (circumsphere).
 
     Raises DegenerateCoplanar when the tetrahedron is flat within
-    tolerance: ``|det| <= eps_rel * L**3`` with L the largest pairwise
+    ``_EPS``: ``|det| <= 1e-9 * L**3`` with L the largest pairwise
     distance of the quadruple.
     """
-    eps = (_DEFAULT_TOL if tol is None else tol).eps_rel
-    ox, oy, oz, r2, _ = _circum4(_p3(a), _p3(b), _p3(c), _p3(d), eps)
-    return Sphere(np.array((ox, oy, oz)), math.sqrt(r2))
+    t = _circum4(_p3(a), _p3(b), _p3(c), _p3(d))
+    if t is None:
+        raise DegenerateCoplanar("four points are coplanar within tolerance")
+    return Sphere(np.array(t[:3]), math.sqrt(t[3]))
 
 
-def contains(sphere: Sphere, p, tol: Tolerance | None = None) -> bool:
-    """True iff ``|p - center| <= radius + effective tolerance``.
+def contains(sphere: Sphere, p) -> bool:
+    """True iff ``|p - center| <= radius`` within a band of ``_EPS`` times
+    the sphere's diameter.
 
     The comparison runs on squared distances to avoid a square root.
-    Without ``tol`` the band is 1e-9 of the sphere's diameter.
     """
-    t = Tolerance(scale=2.0 * float(sphere.radius)) if tol is None else tol
     px, py, pz = _p3(p)
     cx, cy, cz = float(sphere.center[0]), float(sphere.center[1]), float(sphere.center[2])
     dx, dy, dz = px - cx, py - cy, pz - cz
-    lim = sphere.radius + t.abs_eps
+    lim = sphere.radius + _EPS * (2.0 * float(sphere.radius))
     return dx * dx + dy * dy + dz * dz <= lim * lim

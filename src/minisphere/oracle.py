@@ -14,20 +14,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyInputError, TooLargeError
-from .geom import Sphere, Tolerance, as_cloud, tolerance_for
+from .geom import Sphere, as_cloud, tolerance_for
 
 _MAX_BRUTE = 80
 _MAX_HULL = 60
 _MAX_HULL_2D = 400
 
 
-def brute_force_ses(points, tol: Tolerance | None = None) -> Sphere:
+def brute_force_ses(points) -> Sphere:
     """Smallest enclosing sphere by exhaustive candidate enumeration.
 
     Parameters
     ----------
-    points : (N, 3) array-like, 1 <= N <= 80.
-    tol : optional Tolerance; defaults to one scaled to ``points``.
+    points : (N, 3) array-like, 1 <= N <= 80. Its ``tolerance_for`` sets
+        the degeneracy cut and the enclosure bands.
 
     Returns
     -------
@@ -43,8 +43,7 @@ def brute_force_ses(points, tol: Tolerance | None = None) -> Sphere:
     n = len(P)
     if n > _MAX_BRUTE:
         raise TooLargeError(f"brute_force_ses supports at most {_MAX_BRUTE} points, got {n}")
-    if tol is None:
-        tol = tolerance_for(P)
+    tol = tolerance_for(P)
     if n == 1:
         return Sphere(P[0].copy(), 0.0)
     eps = tol.eps_rel
@@ -203,14 +202,14 @@ def _circumspheres(P, eps):
     return centers, r2
 
 
-def is_hull_vertex(index: int, points, tol: Tolerance | None = None) -> bool:
+def is_hull_vertex(index: int, points) -> bool:
     """True iff ``points[index]`` is a vertex of the convex hull.
 
     Decides whether the point can be written as a convex combination of the
     others by solving a linear feasibility problem (HiGHS). Coordinates are
-    normalized by the cloud scale, so the feasibility tolerance acts as
-    ``1e-9 * scale``: points within that band of a hull face count as
-    non-vertices.
+    normalized by the cloud scale (``tolerance_for``), so the feasibility
+    tolerance acts as ``1e-9 * scale``: points within that band of a hull
+    face count as non-vertices.
     """
     from scipy.optimize import linprog
 
@@ -223,9 +222,8 @@ def is_hull_vertex(index: int, points, tol: Tolerance | None = None) -> bool:
         raise IndexError(f"index {index} out of range for {n} points")
     if n == 1:
         return True
-    if tol is None:
-        tol = tolerance_for(P)
-    div = tol.scale if tol.scale > 0 else 1.0
+    scale = tolerance_for(P).scale
+    div = scale if scale > 0 else 1.0
     Q = (np.delete(P, index, axis=0) - P[index]) / div
     m = len(Q)
     a_eq = np.vstack([Q.T, np.ones((1, m))])

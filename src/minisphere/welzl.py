@@ -25,10 +25,11 @@ certified by its bound.
 Near-co-spherical inputs drive the ball constructors hard, so all
 candidate-sphere math runs on bare floats, with two exceptions that use
 exact rational arithmetic on at most five points (``_exact_ball``): a
-degenerate pinned set (three collinear points or four coplanar ones),
-and every pivot from the first one whose float ball did not grow on. An
-exact ball is the exact min ball of its support, so from then on each
-pivot grows the exact radius and the loop ends.
+degenerate pinned set, three collinear points or four coplanar ones,
+for which ``geom``'s circumsphere cores return None (their one cut,
+``geom._EPS``), and every pivot from the first one whose float ball did
+not grow on. An exact ball is the exact min ball of its support, so from
+then on each pivot grows the exact radius and the loop ends.
 """
 
 from __future__ import annotations
@@ -38,15 +39,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateCollinear, DegenerateCoplanar
-from .geom import _DEFAULT_TOL, Sphere, _circum3, _circum4, _unit_cloud
+from .geom import Sphere, _circum3, _circum4, _unit_cloud
 
 _SCAN_CHUNK = 32768  # rows per farthest-point scan chunk: two 256 kB buffers
 _SMALL_SCAN = 2048  # rows up to which a scan takes one (N, 3) temporary instead of the chunk buffers
 _BLOCK = 64  # rows per candidate block of a batched scan; divides _SCAN_CHUNK; 128 and 256 took 5 scans where 64 took 2
 # relative slack on r^2 in outside tests: ~1800 ulps, room for a constructed ball's rounding
 _REL_BAND = 1.0 + 4e-13
-_EPS = _DEFAULT_TOL.eps_rel  # degeneracy cut, relative to the extent of the points tested
 _ULP = 2.0 ** -52  # one unit in the last place, relative to a coordinate's magnitude
 _SLACK = 1.0 + 2.0 ** -40  # relative slack of a distance bound: a few dozen ulps
 _TINY_D2 = 2.0 ** -1000  # absolute slack of a bound: the rounding of squares that underflow
@@ -157,7 +156,7 @@ def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball, int, int, int]:
         most = int(len(ws[0]) * (_GATHER_ROWS if len(ws[0]) == len(P) else _GATHER_BLOCKS))
     else:
         first = tuple(_row(P, i) for i in start)
-        ball, ws = _ball1(first[0]), None
+        ball, ws = _boundary_ball(first[:1]), None
         for k in range(1, len(first)):
             if _outside(ball, first[k]):
                 ball = _pinned_ball(first[:k], (first[k],))
@@ -227,12 +226,11 @@ def _swapped_ball(entries: tuple, e) -> _Ball | None:
     d2 = [(x - px) * (x - px) + (y - py) * (y - py) + (z - pz) * (z - pz) for (x, y, z), _ in entries]
     for i in sorted(range(4), key=d2.__getitem__)[:2]:
         rest = entries[:i] + entries[i + 1:]
-        try:
-            ox, oy, oz, r2, w = _circum4(e[0], rest[0][0], rest[1][0], rest[2][0], _EPS)
-        except DegenerateCoplanar:
+        t = _circum4(e[0], rest[0][0], rest[1][0], rest[2][0])
+        if t is None:
             continue
-        ball = _Ball((ox, oy, oz), r2, (e,) + rest)
-        if w > 0.0 and not _outside(ball, entries[i]):
+        ball = _Ball(t[:3], t[3], (e,) + rest)
+        if t[4] > 0.0 and not _outside(ball, entries[i]):
             return ball
     return None
 
@@ -409,33 +407,6 @@ def _row(P: np.ndarray, i: int):
     return (tuple(P[i].tolist()), i)
 
 
-def _ball1(e) -> _Ball:
-    return _Ball(e[0], 0.0, (e,))
-
-
-def _ball2(e1, e2) -> _Ball:
-    (ax, ay, az), (bx, by, bz) = e1[0], e2[0]
-    c = (0.5 * (ax + bx), 0.5 * (ay + by), 0.5 * (az + bz))
-    dx, dy, dz = ax - bx, ay - by, az - bz
-    return _Ball(c, 0.25 * (dx * dx + dy * dy + dz * dz), (e1, e2))
-
-
-def _ball3(e1, e2, e3) -> _Ball:
-    try:
-        ox, oy, oz, r2 = _circum3(e1[0], e2[0], e3[0], _EPS)
-    except DegenerateCollinear:
-        return _exact_ball((e1, e2, e3))
-    return _Ball((ox, oy, oz), r2, (e1, e2, e3))
-
-
-def _ball4(entries: tuple) -> _Ball:
-    try:
-        ox, oy, oz, r2, _ = _circum4(entries[0][0], entries[1][0], entries[2][0], entries[3][0], _EPS)
-    except DegenerateCoplanar:
-        return _exact_ball(entries)
-    return _Ball((ox, oy, oz), r2, entries)
-
-
 def _exact_ball(entries: tuple) -> _Ball:
     """Min ball of at most five ``entries`` in exact arithmetic, rounded.
 
@@ -483,13 +454,19 @@ def _exact_ball(entries: tuple) -> _Ball:
 
 
 def _boundary_ball(boundary: tuple) -> _Ball:
+    """Smallest ball with one to four entries on its boundary: the point,
+    the diametral ball of two, the circumsphere of three or four, or
+    ``_exact_ball`` when those are collinear or coplanar (``geom._EPS``)."""
     n = len(boundary)
     if n == 1:
-        return _ball1(boundary[0])
+        return _Ball(boundary[0][0], 0.0, boundary)
     if n == 2:
-        return _ball2(boundary[0], boundary[1])
+        (ax, ay, az), (bx, by, bz) = boundary[0][0], boundary[1][0]
+        dx, dy, dz = ax - bx, ay - by, az - bz
+        c = (0.5 * (ax + bx), 0.5 * (ay + by), 0.5 * (az + bz))
+        return _Ball(c, 0.25 * (dx * dx + dy * dy + dz * dz), boundary)
     if n == 3:
-        return _ball3(boundary[0], boundary[1], boundary[2])
-    if n == 4:
-        return _ball4(boundary)
-    raise AssertionError("boundary size out of range")
+        t = _circum3(boundary[0][0], boundary[1][0], boundary[2][0])
+    else:
+        t = _circum4(boundary[0][0], boundary[1][0], boundary[2][0], boundary[3][0])
+    return _exact_ball(boundary) if t is None else _Ball(t[:3], t[3], boundary)

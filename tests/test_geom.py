@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from minisphere.errors import (
 )
 from minisphere.geom import (
     Sphere,
-    Tolerance,
     as_cloud,
     contains,
     sphere_from_four,
@@ -67,6 +67,39 @@ def test_sphere_from_three_collinear_raises():
         sphere_from_three((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0))
 
 
+def _exact_circle(a, b, c):
+    """Centre and radius of the circle through three float points, in
+    ``Fraction`` arithmetic, rounded once at the end."""
+    a, b, c = ([Fraction(x) for x in p] for p in (a, b, c))
+    u = [x - y for x, y in zip(b, a)]
+    v = [x - y for x, y in zip(c, a)]
+    d11, d22, d12 = (sum(x * y for x, y in zip(p, q)) for p, q in ((u, u), (v, v), (u, v)))
+    det = d11 * d22 - d12 * d12
+    alpha, beta = d22 * (d11 - d12) / (2 * det), d11 * (d22 - d12) / (2 * det)
+    off = [alpha * x + beta * y for x, y in zip(u, v)]
+    return np.array([float(p + q) for p, q in zip(a, off)]), math.sqrt(float(sum(x * x for x in off)))
+
+
+@pytest.mark.parametrize("k", [29, 27, 25, 23])
+def test_sphere_from_three_near_collinear_is_accurate(k):
+    """Triples whose middle point is 2^-k of the extent off the line, just
+    above the collinear cut (1e-9, about 2^-30): their huge circle's
+    centre and radius stay within 1e-5 of the radius of the same circle
+    computed exactly from the same doubles, in whatever order the points
+    come."""
+    rng = np.random.default_rng(k)
+    for _ in range(100):
+        a, d, n = rng.uniform(-1.0, 1.0, 3), rng.normal(size=3), rng.normal(size=3)
+        n -= d * (n @ d) / (d @ d)
+        n *= 2.0 ** -k * np.linalg.norm(d) / np.linalg.norm(n)
+        pts = [a, a + rng.uniform(0.1, 0.9) * d + n, a + d]
+        pts = [tuple(pts[i].tolist()) for i in rng.permutation(3)]
+        s = sphere_from_three(*pts)
+        centre, r = _exact_circle(*pts)
+        assert np.linalg.norm(s.center - centre) <= 1e-5 * r, pts
+        assert abs(s.radius - r) <= 1e-5 * r, pts
+
+
 def test_sphere_from_four_cube_alternate_corners():
     # a regular tetrahedron inscribed in the unit cube
     s = sphere_from_four((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))
@@ -80,12 +113,10 @@ def test_sphere_from_four_coplanar_raises():
 
 
 def test_sphere_from_four_nearly_coplanar_scaled_tolerance():
-    """The flatness cut follows the supplied tolerance scale."""
+    """A tetrahedron 1e-7 of its extent off flat is well above the cut."""
     pts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 1e-7)]
-    s = sphere_from_four(*pts)  # default tolerance: well above the cut
+    s = sphere_from_four(*pts)
     assert s.radius > 0
-    with pytest.raises(DegenerateCoplanar):
-        sphere_from_four(*pts, tol=Tolerance(1e-3, 1.0))
 
 
 def test_non_finite_point_rejected():
@@ -96,11 +127,11 @@ def test_non_finite_point_rejected():
 
 
 def test_contains_tolerance_band():
+    """The band is 1e-9 of the diameter."""
     s = Sphere(np.zeros(3), 1.0)
-    tol = Tolerance(1e-9, 1.0)
-    assert contains(s, (1.0, 0.0, 0.0), tol)
-    assert contains(s, (1.0 + 5e-10, 0.0, 0.0), tol)
-    assert not contains(s, (1.0 + 1e-6, 0.0, 0.0), tol)
+    assert contains(s, (1.0, 0.0, 0.0))
+    assert contains(s, (1.0 + 5e-10, 0.0, 0.0))
+    assert not contains(s, (1.0 + 1e-6, 0.0, 0.0))
 
 
 def test_as_cloud_accepts_lists_and_rejects_bad_shapes():
@@ -169,6 +200,18 @@ def test_tolerance_for_unit_cube_diagonal():
     tol = tolerance_for(cube_corners())
     assert rel_err(tol.scale, math.sqrt(3.0)) < 1e-15
     assert tol.abs_eps == 1e-9 * max(tol.scale, 1.0)
+
+
+def test_no_public_callable_takes_tol():
+    """Every band is relative to what it tests, so no public function or
+    class takes a tolerance knob."""
+    import inspect
+
+    import minisphere
+
+    taking = [name for name in minisphere.__all__ if callable(obj := getattr(minisphere, name))
+              and "tol" in inspect.signature(obj).parameters]
+    assert taking == []
 
 
 def test_tolerance_for_scale_is_the_axis0_box_diagonal():

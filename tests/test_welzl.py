@@ -155,8 +155,8 @@ def test_pivoting_and_move_to_front_agree(kind, n):
 def test_coplanar_pinned_four_take_the_exact_ball(monkeypatch):
     """Three pinned corners of a right triangle and a free point in their
     plane, outside their circle: no sphere passes through all four, so
-    _ball4 takes the exact min ball of the four, the ball on the segment
-    from the origin to the free point."""
+    _boundary_ball takes the exact min ball of the four, the ball on the
+    segment from the origin to the free point."""
     calls = []
     real = welzl._exact_ball
     monkeypatch.setattr(welzl, "_exact_ball", lambda *a: calls.append(1) or real(*a))
@@ -168,22 +168,24 @@ def test_coplanar_pinned_four_take_the_exact_ball(monkeypatch):
     assert sorted(i for _, i in ball.support) == [-1, 1]
 
 
-@pytest.mark.parametrize("h", [0.0, 2.0 ** -40, 2.0 ** -32], ids=["exact", "2^-40", "2^-32"])
-def test_collinear_pinned_three_take_the_exact_ball(h, monkeypatch):
-    """Three pinned points inside the collinear cut, the middle one h off
-    the line through the others: no circle is built, and _ball3 takes the
-    exact min ball of the three, the ball on the segment between the
-    extreme pair, in every order."""
+@pytest.mark.parametrize("x, h", [(0.5, 0.0), (0.5, 2.0 ** -40), (0.5, 2.0 ** -32), (0.4, 0.0)],
+                         ids=["exact", "2^-40", "2^-32", "exact-0.4"])
+def test_collinear_pinned_three_take_the_exact_ball(x, h, monkeypatch):
+    """Three pinned points inside the collinear cut, the middle one at x
+    and h off the line through the others: no circle is built, and
+    _boundary_ball takes the exact min ball of the three, the ball on the
+    segment between the extreme pair, in every order. The middle point
+    0.4 is not dyadic, so its offsets round differently in each order."""
     calls = []
     real = welzl._exact_ball
     monkeypatch.setattr(welzl, "_exact_ball", lambda *a: calls.append(1) or real(*a))
-    pts = [(-1.0, 2.0, 0.5), (0.5, 2.0 + h, 0.5), (3.0, 2.0, 0.5)]
+    pts = [(-1.0, 2.0, 0.5), (x, 2.0 + h, 0.5), (3.0, 2.0, 0.5)]
     want = brute_force_ses(np.array(pts))
     for order in itertools.permutations(range(3)):
         with pytest.raises(DegenerateCollinear):
             sphere_from_three(*(pts[i] for i in order))
         calls.clear()
-        ball = welzl._ball3(*((pts[i], i) for i in order))
+        ball = welzl._boundary_ball(tuple((pts[i], i) for i in order))
         assert calls, order
         assert sorted(i for _, i in ball.support) == [0, 2], order
         assert ball.c == (1.0, 2.0, 0.5) and ball.r2 == 4.0, order
