@@ -73,7 +73,9 @@ def _unit_cloud(points) -> tuple[np.ndarray, int]:
     and the caller scales its sphere back by 2**e. Both scalings are exact
     for normal doubles; subnormal input (below 2**-1022) gets its centre
     and radius rounded on the way back. The magnitude comes from
-    validation's own min and max, so no pass is added.
+    validation's own min and max, so no pass is added. On a sampled cloud
+    ``projection.solve`` calls it only if the sample's magnitude is below
+    ``_TINY_COORD``: else e is 0, and its repair validates the cloud.
     """
     P, m = _checked(points)
     e = math.frexp(m)[1] if 0.0 < m < _TINY_COORD else 0
@@ -81,7 +83,15 @@ def _unit_cloud(points) -> tuple[np.ndarray, int]:
 
 
 def _checked(points) -> tuple[np.ndarray, float]:
-    """``as_cloud``'s array and the largest |coordinate| of the cloud."""
+    """``as_cloud``'s array and the largest |coordinate| of the cloud,
+    from ``_magnitude`` on each chunk of ``_CHECK_ROWS`` rows."""
+    P = _as_array(points)
+    return P, max(_magnitude(P[lo:lo + _CHECK_ROWS]) for lo in range(0, len(P), _CHECK_ROWS))
+
+
+def _as_array(points) -> np.ndarray:
+    """``points`` as a C-contiguous (N, 3) float64 array with N >= 1, its
+    coordinates not yet range-checked (``_magnitude`` does that)."""
     try:
         if getattr(getattr(points, "dtype", None), "kind", "") == "c":
             raise TypeError("complex coordinates")  # asarray would drop the imaginary part
@@ -94,14 +104,17 @@ def _checked(points) -> tuple[np.ndarray, float]:
         raise InvalidGeometryError(f"expected an (N, 3) point array, got shape {P.shape}")
     if P.shape[0] == 0:
         raise EmptyInputError("point cloud is empty")
-    m = 0.0
-    for lo in range(0, len(P), _CHECK_ROWS):
-        Q = P[lo:lo + _CHECK_ROWS]
-        a, b = float(Q.min()), float(Q.max())
-        if not -_MAX_COORD <= a <= b <= _MAX_COORD:  # NaN fails too
-            raise InvalidGeometryError(f"coordinates must be finite and within ±{_MAX_COORD:g}")
-        m = max(m, -a, b)
-    return np.ascontiguousarray(P), m
+    return np.ascontiguousarray(P)
+
+
+def _magnitude(Q: np.ndarray) -> float:
+    """Largest |coordinate| of the rows Q, from their min and max; raises
+    InvalidGeometryError if a coordinate is not finite or lies beyond
+    ±1e150."""
+    a, b = float(Q.min()), float(Q.max())
+    if not -_MAX_COORD <= a <= b <= _MAX_COORD:  # NaN fails too
+        raise InvalidGeometryError(f"coordinates must be finite and within ±{_MAX_COORD:g}")
+    return max(-a, b)
 
 
 def tolerance_for(points) -> Tolerance:

@@ -15,12 +15,14 @@ outside (see ``welzl``): the rows, on a cloud of at most one scan chunk,
 or else the 64-row blocks, whose distance bound may exceed the limit.
 Since that loop ends only on a scan that finds no point outside, any
 start ball gives the exact answer. So at the automatic k, ``solve``
-reduces only a strided sample of about one scan chunk, every
-``N // _SCAN_CHUNK``-th row (Clarkson's sampling for LP-type problems,
-1995), and the rows it skips meet the start ball in the repair's first
-full scan. Below two scan chunks the stride is 1 and the whole cloud is
-reduced; at stride 2 the sample measured level with the whole cloud, and
-at stride 3 level to 8 % faster. A named k always reduces the whole cloud.
+validates and reduces only a strided sample of about one scan chunk,
+every ``N // _SCAN_CHUNK``-th row (Clarkson's sampling for LP-type
+problems, 1995), and the repair's first full scan meets the rows the
+sample skipped and validates them as it reads them. From a stride of
+``_SOLVED_SAMPLE`` the sample is solved outright: the same loop runs over
+it from its reduced set's ball, and its min ball starts the repair.
+Below two scan chunks the stride is 1 and the whole cloud is validated,
+reduced and repaired as one; a named k always is.
 ``solve`` is the one entry point for the library, the CLI and the bench;
 ``strategy="welzl"`` skips the reduced set and pivots over the full cloud
 from its first four rows, which is ``welzl_solve``.
@@ -44,11 +46,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidKError, InvalidParamsError
-from .geom import Sphere, _unit_cloud, as_cloud, tolerance_for  # noqa: F401  tolerance_for: unused, but perfbench/spans.py hooks it
-from .welzl import _SCAN_CHUNK, _pivot_solve, _scaled, _solved_ball, welzl_solve
+from .geom import _TINY_COORD, Sphere, _as_array, _checked, _unit_cloud, as_cloud, tolerance_for  # noqa: F401  tolerance_for: unused, but perfbench/spans.py hooks it
+from .welzl import _SCAN_CHUNK, _pivot_ball, _pivot_solve, _scaled, _solved_ball, welzl_solve
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 _BLOCK_ELEMS = 2 ** 17  # doubles per reduce block: ~1 MB, which keeps BLAS threading cheap
+# stride from which ``solve`` solves its sample outright: the sample's own
+# rounds read about one more sample, and from here the full-cloud rescans
+# they save repay it (summed over seven kinds, seeds 1, 3 and 21: 12 %
+# slower at stride 3, 3 % at 6, level at 7, 6 % faster at 8, 19 % at 30)
+_SOLVED_SAMPLE = 8
 
 
 class KSelection(NamedTuple):
@@ -82,17 +89,20 @@ class SolveReport:
     picks of ``solve``'s strided sample, on clouds of two scan chunks or
     more.
     ``repair_rounds`` counts the pivots after the reduced set's solve,
-    whether a full scan or a batched round's candidates supplied them;
-    ``exact_pivots`` counts those taken in exact arithmetic: the first
-    pivot whose float ball rounding kept from growing, and every later
-    one. ``scanned_rows`` counts the rows whose distance the repair's
-    scans computed: N per full scan, and for a later scan each row it
-    read on a cloud of at most one scan chunk, or else 64 per block.
-    ``timings``: ``ingest_ms`` (validation), ``reduce_ms``,
-    ``solve_ms`` (the reduced set's solve), ``verify_ms`` (the full-cloud
-    scans and all pivots). ``strategy == "welzl"`` has no reduced set:
-    ``k`` and ``reduced_size`` are None, ``reduce_ms`` and ``solve_ms``
-    are 0, and the counters count its pivots from the first four rows.
+    whether a full scan or a batched round's candidates supplied them,
+    those over a strided sample included; ``exact_pivots`` counts those
+    taken in exact arithmetic: the first pivot of a loop whose float ball
+    rounding kept from growing, and every later one. ``scanned_rows``
+    counts the rows whose distance the scans of the sample and of the
+    cloud computed: all of them per full scan, and for a later scan each
+    row it read on at most one scan chunk, or else 64 per block.
+    ``timings``: ``ingest_ms`` (validation: of the sample alone where the
+    repair's first scan validates the cloud), ``reduce_ms``, ``solve_ms``
+    (the reduced set's solve), ``verify_ms`` (the sample's and the full
+    cloud's scans and all pivots). ``strategy == "welzl"`` has no reduced
+    set: ``k`` and ``reduced_size`` are None, ``reduce_ms`` and
+    ``solve_ms`` are 0, and the counters count its pivots from the first
+    four rows.
     """
 
     sphere: Sphere
@@ -233,10 +243,11 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
         ``reduce``. Only the projection strategy reads it. A named count
         reduces the whole cloud. None means k = 1, four directions: over
         k in {1, 2, 3, 4, 6, 12}, every ``datagen`` kind and N in {1e4,
-        1e5, 1e6}, it had the least total solve time. It reduces every
-        ``N // _SCAN_CHUNK``-th row, about one scan chunk, once N reaches
-        two scan chunks (65,536 rows); below that, the whole cloud, bit
-        for bit as ``sel=1``.
+        1e5, 1e6}, it had the least total solve time. Once N reaches two
+        scan chunks (65,536 rows) it reduces every ``N // _SCAN_CHUNK``-th
+        row, about one scan chunk, and from eight scan chunks solves that
+        sample outright; below two, the whole cloud, bit for bit as
+        ``sel=1``.
     seed : recorded in the report; the solve is deterministic and does
         not read it.
     strategy : "projection" (reduce, solve, verify and repair) or "welzl"
@@ -244,10 +255,11 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
 
     Returns
     -------
-    SolveReport. With "projection", the reduced set's ball, of the
-    sample or of the whole cloud, is the start of a pivoting over the
-    full cloud: while a point lies outside (beyond a band of rounding
-    size), the farthest one joins the support and the ball is rebuilt.
+    SolveReport. With "projection", the reduced set's ball is the start of
+    a pivoting over the whole cloud, or over a solved sample, whose min
+    ball then starts the pivoting over the whole cloud: while a point lies
+    outside (beyond a band of rounding size), the farthest one joins the
+    support and the ball is rebuilt.
     Each scan gathers candidates outside the ball, every such row on a
     cloud of at most one scan chunk and the farthest of every 64-row
     block on a larger one, and the pivots run over those in memory before
@@ -259,7 +271,9 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
     pivot, and gives ``welzl_solve``'s sphere and support. Each pivot is
     a repair round. If rounding stalls a pivot, that pivot and all later
     ones are taken in exact arithmetic and ``exact_pivots`` counts them.
-    ``scanned_rows`` counts the rows the scans read.
+    ``scanned_rows`` counts the rows the scans read. Of a sampled cloud
+    only the sample is validated up front, and the rest by the first full
+    scan, so a bad row raises InvalidGeometryError wherever it sits.
 
     There is no tolerance argument and no cloud scale: every band is
     relative to the ball or the points it tests, so scaling a cloud by a
@@ -267,24 +281,34 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
     normal doubles within ±1e150. A cloud whose largest |coordinate| is
     below 2**-400 is solved scaled to unit size by a power of two, so that
     no squared distance underflows, and its sphere is scaled back; below
-    2**-1022 (subnormal input) the way back rounds.
+    2**-1022 (subnormal input) the way back rounds. So a sample below
+    2**-400 makes ``solve`` validate the whole cloud first.
     """
     if strategy not in ("projection", "welzl"):
         raise InvalidParamsError(f"unknown strategy {strategy!r}")
     t0 = time.perf_counter()
-    P, e = _unit_cloud(points)
+    P, e = _as_array(points), 0
+    step = max(1, len(P) // _SCAN_CHUNK) if sel is None and strategy == "projection" else 1
+    S, m = _checked(P[::step]) if step > 1 else (P, 0.0)  # the sample, copied: a strided view scans slowly
+    if m < _TINY_COORD:  # e may be nonzero: validate and scale the whole cloud first
+        P, e = _unit_cloud(P)
+        S = np.ascontiguousarray(P[::step])
     t_in = t1 = t2 = time.perf_counter()
     k = reduced_size = start = None
+    sampled = (0, 0, 0)
     if strategy == "projection":
         k = 1 if sel is None else _plane_count(sel)
-        step = max(1, len(P) // _SCAN_CHUNK) if sel is None else 1
-        rows = reduce(np.ascontiguousarray(P[::step]), k).indices * step  # copied: reduce validates a strided view slowly
+        rows = reduce(S, k).indices
         reduced_size = int(len(rows))
         t1 = time.perf_counter()
-        small, sup = welzl_solve(P[rows], seed=seed)
+        small, sup = welzl_solve(S[rows], seed=seed)
         t2 = time.perf_counter()
-        start = _solved_ball(P, small, rows[list(sup.indices)].tolist())
-    sphere, support, pivots, exact, scanned = _pivot_solve(P, start)
+        start = _solved_ball(S, small, rows[list(sup.indices)].tolist())
+        if step >= _SOLVED_SAMPLE:  # the sample's own min ball
+            start, *sampled = _pivot_ball(S, start)
+        start = start._replace(support=tuple((p, i * step) for p, i in start.support))  # rows of P
+    sphere, support, *counts = _pivot_solve(P, start, m >= _TINY_COORD)  # validate unless _unit_cloud did
+    pivots, exact, scanned = (a + b for a, b in zip(sampled, counts))
     t3 = time.perf_counter()
 
     return SolveReport(

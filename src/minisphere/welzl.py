@@ -7,14 +7,16 @@ that point, with the point pinned, replaces it. Pinned sets hold at most
 four points, so no recursion is open-ended. Against a support of four,
 the new point most often replaces one of them, so that sphere is tried
 and checked before the recursion runs. ``projection.solve``'s repair
-is this loop run over the full cloud from the reduced set's ball. That
-ball is close to the answer, so the repair goes in batched rounds
-(Badoiu and Clarkson, "Smaller core-sets for balls", 2003): each scan
+is this loop run over the full cloud from the reduced set's ball, or
+from a sample's min ball, which this loop finds over the sample. That
+ball is close, so the repair goes in batched rounds (Badoiu and
+Clarkson, "Smaller core-sets for balls", 2003): each scan
 keeps candidate rows outside the ball, and the pivots run over them in
 memory before the next scan. Only the first scan is full: an upper bound
 on the distance from the centre, grown by the centre's shift after each
 round (Elkan's triangle-inequality bounds, "Using the triangle inequality
-to accelerate k-means", 2003), certifies the rows a later scan skips. On
+to accelerate k-means", 2003), certifies the rows a later scan skips;
+on a sampled cloud the first scan also validates the rows it reads. On
 a cloud of at most one scan chunk each row keeps its own bound and every
 row outside is a candidate; on a larger one each 64-row block keeps a
 bound and its farthest row outside is the candidate. ``welzl_solve``
@@ -39,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import Sphere, _circum3, _circum4, _unit_cloud
+from .geom import Sphere, _circum3, _circum4, _magnitude, _unit_cloud
 
 _SCAN_CHUNK = 32768  # rows per farthest-point scan chunk: two 256 kB buffers
 _SMALL_SCAN = 2048  # rows up to which a scan takes one (N, 3) temporary instead of the chunk buffers
@@ -98,15 +100,15 @@ def welzl_solve(points, seed: int = 0) -> tuple[Sphere, SupportSet]:
     return sphere, support
 
 
-def _pivot_solve(P: np.ndarray, start=None) -> tuple[Sphere, SupportSet, int, int, int]:
+def _pivot_solve(P: np.ndarray, start=None, check: bool = False) -> tuple[Sphere, SupportSet, int, int, int]:
     """Min ball of the rows of P, pivoting from ``start`` (see ``_pivot_ball``),
     by default from the first (up to) four rows: ``welzl_solve`` on a
-    validated cloud.
+    validated cloud, or with ``check`` one its first scan validates.
 
     Returns the sphere, its support, the number of pivots taken, how many
     of them were exact and how many rows of P had their distance computed.
     """
-    ball, pivots, exact, scanned = _pivot_ball(P, range(min(len(P), 4)) if start is None else start)
+    ball, pivots, exact, scanned = _pivot_ball(P, range(min(len(P), 4)) if start is None else start, check)
     rows = sorted({i for (_, i) in ball.support})
     support = SupportSet(tuple(rows), P[rows].copy())
     sphere = Sphere(np.array(ball.c, dtype=np.float64), math.sqrt(max(ball.r2, 0.0)))
@@ -123,7 +125,7 @@ def _solved_ball(P: np.ndarray, sphere: Sphere, rows) -> _Ball:
     return _Ball(tuple(sphere.center.tolist()), sphere.radius * sphere.radius, tuple(_row(P, i) for i in rows))
 
 
-def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball, int, int, int]:
+def _pivot_ball(P: np.ndarray, start, check: bool = False) -> tuple[_Ball, int, int, int]:
     """Min ball of the rows of P by Gaertner's pivoting, its pivot count,
     how many of those pivots were exact and how many rows of P had their
     distance from a centre computed.
@@ -149,7 +151,8 @@ def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball, int, int, int]:
     only the rows or blocks whose distance bound the centre's shift may
     have pushed beyond the limit (``_grown``), and return the rows a full
     scan would. Either way the loop ends only on a scan that finds no row
-    outside, with every other row certified by its bound.
+    outside, with every other row certified by its bound. With ``check``,
+    the first scan from a solved subset's ball also validates P.
     """
     if isinstance(start, _Ball):
         ball, ws = start, _workspace(len(P))
@@ -166,8 +169,9 @@ def _pivot_ball(P: np.ndarray, start) -> tuple[_Ball, int, int, int]:
         if ws is None:
             rows = None
         else:
-            rows, n = _outside_rows(P, ball, *ws, blocks)
+            rows, n = _outside_rows(P, ball, *ws, blocks, check)
             scanned += n
+            check = False
             if not len(rows):
                 return ball, pivots, exact, scanned
         Q = P if rows is None else P[rows]
@@ -290,7 +294,7 @@ def _workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _outside_rows(P: np.ndarray, ball: _Ball, bound: np.ndarray, bufs: np.ndarray,
-                  blocks=None) -> tuple[np.ndarray, int]:
+                  blocks=None, check: bool = False) -> tuple[np.ndarray, int]:
     """Rows of P to pivot over, in row order, and the count of rows whose
     distance was computed: with a bound per row (``bound, bufs =
     _workspace(len(P))``), every row beyond the ball's ``_limit``; with a
@@ -306,12 +310,15 @@ def _outside_rows(P: np.ndarray, ball: _Ball, bound: np.ndarray, bufs: np.ndarra
     gathered a chunk's worth at a time; distances land in the chunk
     buffers, padded with -inf to whole blocks. Only a chunk with a row
     outside pays for its block maxima; the blocks of any other chunk take
-    the chunk's maximum as their bound.
+    the chunk's maximum as their bound. With ``check``, a full scan
+    validates each chunk before its distances (``geom._magnitude``).
     """
     far = _limit(ball)
     n = len(P)
     if len(bound) == n:
         if blocks is None:
+            if check:
+                _magnitude(P)
             _sq_dist(P, ball.c, bound, bufs[0][:n])
             return np.flatnonzero(bound > far), n
         d = bound[blocks] = _sq_offsets(P[blocks], ball.c, bufs[0][:len(blocks)])
@@ -326,6 +333,8 @@ def _outside_rows(P: np.ndarray, ball: _Ball, bound: np.ndarray, bufs: np.ndarra
         if blocks is None:
             b = slice(g, g + per)
             Q, base = P[g * _BLOCK:(g + per) * _BLOCK], g * _BLOCK
+            if check:
+                _magnitude(Q)
         else:
             b = blocks[g:g + per]
             short = int(b[-1]) == full  # the short last block, not in the block view

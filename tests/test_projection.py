@@ -301,6 +301,8 @@ def test_sampled_start_is_exact(kind, monkeypatch):
     r = rep.sphere.radius
     assert rel_err(r, ref.radius) < 1e-12, kind
     assert max_violation(P, rep.sphere.center, r) <= 1e-12 * r, kind
+    on = np.linalg.norm(P[list(rep.support_indices)] - rep.sphere.center, axis=1)
+    assert np.abs(on - r).max() <= 1e-12 * r, kind  # support indices are rows of P
 
 
 def test_sampled_start_finds_a_support_off_the_stride(monkeypatch):
@@ -320,6 +322,76 @@ def test_sampled_start_finds_a_support_off_the_stride(monkeypatch):
     ref, _ = welzl_solve(P)
     r = rep.sphere.radius
     assert rel_err(r, ref.radius) < 1e-12 and rel_err(r, 1.0) < 1e-12
+    assert max_violation(P, rep.sphere.center, r) <= 1e-12 * r
+
+
+def test_sampled_start_reads_the_clustered_cloud_once():
+    """The sample's own min ball starts the repair: on this clustered cloud
+    the ball from the sample's reduced set alone took four full scans
+    (4.00 N rows); from the sample's min ball the rows are read about once."""
+    P = generate("clustered", 1_000_000, seed=21)
+    rep = solve(P, seed=21)
+    ref, _ = welzl_solve(P)
+    assert rep.scanned_rows < 1.5 * len(P), rep.scanned_rows
+    r = rep.sphere.radius
+    assert rel_err(r, ref.radius) < 1e-12
+    on = np.linalg.norm(P[list(rep.support_indices)] - rep.sphere.center, axis=1)
+    assert np.abs(on - r).max() <= 1e-12 * r  # support indices are rows of P
+
+
+@pytest.mark.parametrize("chunks", [3, 8])
+def test_invalid_rows_off_the_stride_are_rejected(chunks):
+    """Of a sampled cloud only the sample is validated before the repair,
+    whose first full scan validates each chunk it reads; from stride 8 the
+    sample is solved first. A bad coordinate on a row the sample skips, in
+    the first chunk, on either side of a chunk boundary or in the short
+    last block, raises as it does anywhere else."""
+    c = projection._SCAN_CHUNK
+    P = generate("uniform-ball", chunks * c + 5, seed=6)
+    step = len(P) // c
+    rows = [i for i in (1, c - 1, c, c + 1, len(P) - 1) if i % step]
+    assert step == chunks and len(rows) == 4 and c - 1 in rows
+    assert len(P) - 1 >= len(P) // welzl._BLOCK * welzl._BLOCK  # in the short last block
+    for bad in (np.nan, np.inf, -np.inf, np.nextafter(1e150, np.inf)):
+        for i in rows:
+            for col in range(3):
+                Q = P.copy()
+                Q[i, col] = bad
+                with pytest.raises(InvalidGeometryError):
+                    solve(Q)
+
+
+@pytest.mark.parametrize("s", [-600, -450])
+def test_power_of_two_scaling_is_exact_on_a_sampled_cloud(s):
+    """As ``test_power_of_two_scaling_is_exact``, on 3e5 points, whose
+    sample is solved: the scaled sample is below 2**-400, so the whole
+    cloud is validated and solved scaled to unit size, and the unit cloud,
+    validated by the repair's first scan, gives the same answer times
+    2**s."""
+    f = 2.0 ** s
+    for kind in kinds():
+        P = generate(kind, 300_000, seed=0)
+        unit, scaled = solve(P), solve(P * f)
+        assert np.array_equal(scaled.sphere.center, unit.sphere.center * f), kind
+        assert scaled.sphere.radius == unit.sphere.radius * f, kind
+        assert scaled.support_indices == unit.support_indices, kind
+        assert scaled.repair_rounds == unit.repair_rounds, kind
+
+
+def test_tiny_sample_with_a_large_row_off_the_stride():
+    """Every sampled row is below 2**-400 but a skipped row is 1.0: the
+    sample cannot tell the cloud's scale, so the whole cloud is validated
+    first, and the sphere is ``welzl_solve``'s and encloses every row. At
+    3e5 points the sample is solved first."""
+    P = generate("uniform-ball", 300_000, seed=8) * 2.0 ** -450
+    step = len(P) // projection._SCAN_CHUNK
+    P[step + 1] = (1.0, 0.0, 0.0)
+    assert np.abs(P[::step]).max() < 2.0 ** -400
+    rep = solve(P)
+    ref, _ = welzl_solve(P)
+    r = rep.sphere.radius
+    assert rel_err(r, ref.radius) < 1e-12
+    assert np.abs(rep.sphere.center - ref.center).max() <= 1e-12 * r
     assert max_violation(P, rep.sphere.center, r) <= 1e-12 * r
 
 

@@ -237,9 +237,9 @@ def test_solve_falls_back_when_pivoting_stalls(monkeypatch):
     real_pinned, real_solve = welzl._pinned_ball, projection._pivot_solve
     starts = []
 
-    def pivot_solve(Q, start):
+    def pivot_solve(Q, start, *check):
         starts.append(start)
-        return real_solve(Q, start)
+        return real_solve(Q, start, *check)
 
     def stall_on_full_cloud(entries, boundary):
         return starts[-1] if starts and len(boundary) == 1 else real_pinned(entries, boundary)
@@ -512,48 +512,62 @@ def test_grown_asks_for_a_full_scan_when_the_centre_moves_beyond_the_radius():
     assert (bound > before).all()
 
 
-# scans (calls of ``welzl._outside_rows``) of ``solve`` on 2e5 points per kind,
-# seed 7, as measured from the automatic k's sampled start (from the whole
-# cloud's reduce they were 4, 2, 1, 4, 1, 3 and 4; one full scan per pivot
-# took 10, 4, 1, 5, 1, 3 and 5), and a bound on the rows they compute a
-# distance for, in units of the cloud's size; the start ball of the
-# clustered cloud is poor, so its second scan is full
-_SCANS_2E5 = {"uniform-ball": (4, 2), "uniform-cube": (2, 2), "collinear": (2, 2), "coplanar-disk": (2, 2),
-              "co-spherical": (1, 2), "clustered": (3, 3), "near-degenerate": (2, 2)}
+# scans of the full cloud (calls of ``welzl._outside_rows`` on all its rows)
+# by ``solve`` per kind, seed 7, as measured at the automatic k, and a bound
+# on all the rows its scans read, in units of the cloud's size. At 2e5
+# points (stride 6) the repair starts from the sample's reduced set (from
+# the whole cloud's reduce they were 4, 2, 1, 4, 1, 3 and 4; one full scan
+# per pivot took 10, 4, 1, 5, 1, 3 and 5); that start ball of the clustered
+# cloud is poor, so its second scan is full. At 3e5 (stride 9) it starts
+# from the solved sample's min ball, whose own rounds (on ``len(Q) <
+# len(P)``) add about one sample to the rows; from the sample's reduced set
+# the full-cloud scans read 1.93, 1.22, 1.00, 1.11, 1.00, 3.44 and 1.11 N.
+_SCANS = {"uniform-ball": ((4, 2), (3, 1.6)), "uniform-cube": ((2, 2), (2, 1.4)),
+          "collinear": ((2, 2), (2, 1.2)), "coplanar-disk": ((2, 2), (2, 1.2)),
+          "co-spherical": ((1, 2), (1, 1.2)), "clustered": ((3, 3), (3, 1.5)),
+          "near-degenerate": ((2, 2), (2, 1.2))}
 
 
-@pytest.mark.parametrize("kind", sorted(_SCANS_2E5))
+@pytest.mark.parametrize("kind", sorted(_SCANS))
 def test_solve_scans_the_full_cloud_few_times(kind, monkeypatch):
-    """``solve``'s repair scans a 2e5-point cloud in a few batched rounds, the
-    last of which finds no row outside; after the first, a scan mostly
-    visits only the blocks its bound does not certify. ``welzl_solve``
+    """``solve``'s repair scans a 2e5- or 3e5-point cloud in a few batched
+    rounds, the last of which finds no row outside; after the first, a scan
+    mostly visits only the blocks its bound does not certify. ``welzl_solve``
     keeps pivoting on one full scan per pivot and gathers no candidates."""
-    P = generate(kind, 200_000, seed=7)
     real = welzl._outside_rows
     ends = []
-    monkeypatch.setattr(welzl, "_outside_rows",
-                        lambda Q, ball, *ws: ends.append(len((r := real(Q, ball, *ws))[0])) or r)
-    rep = projection.solve(P, seed=7)
-    scans, rows = _SCANS_2E5[kind]
-    assert 1 <= len(ends) <= scans, (kind, ends)
-    assert ends[-1] == 0 and all(ends[:-1]), (kind, ends)
-    assert len(P) <= rep.scanned_rows < rows * len(P), (kind, rep.scanned_rows)
-    assert rep.scanned_rows < len(ends) * len(P) or len(ends) == 1, (kind, rep.scanned_rows)
-    ends.clear()
-    ref, _ = welzl_solve(P, seed=7)
-    assert ends == [], kind
-    assert rel_err(rep.sphere.radius, ref.radius) < 1e-12, kind
-    assert max_violation(P, rep.sphere.center, rep.sphere.radius) <= 1e-12 * rep.sphere.radius, kind
+
+    def outside_rows(Q, ball, *ws):
+        r = real(Q, ball, *ws)
+        if len(Q) == len(P):
+            ends.append(len(r[0]))
+        return r
+
+    monkeypatch.setattr(welzl, "_outside_rows", outside_rows)
+    for n, (scans, rows) in zip((200_000, 300_000), _SCANS[kind]):
+        P = generate(kind, n, seed=7)
+        ends.clear()
+        rep = projection.solve(P, seed=7)
+        assert 1 <= len(ends) <= scans, (kind, n, ends)
+        assert ends[-1] == 0 and all(ends[:-1]), (kind, n, ends)
+        assert len(P) <= rep.scanned_rows < rows * len(P), (kind, n, rep.scanned_rows)
+        assert rep.scanned_rows < len(ends) * len(P) or len(ends) == 1, (kind, n, rep.scanned_rows)
+        ends.clear()
+        ref, _ = welzl_solve(P, seed=7)
+        assert ends == [], (kind, n)
+        assert rel_err(rep.sphere.radius, ref.radius) < 1e-12, (kind, n)
+        assert max_violation(P, rep.sphere.center, rep.sphere.radius) <= 1e-12 * rep.sphere.radius, (kind, n)
 
 
-@pytest.mark.parametrize("n", [20_000, 200_000])
+@pytest.mark.parametrize("n", [20_000, 200_000, 300_000])
 @pytest.mark.parametrize("every", ["full", "gathered"])
 def test_unbounded_rescans_change_no_answer(every, n, monkeypatch):
     """With every bound forced to +inf, so that every scan is full, or with
     every entry listed for a gathered rescan, ``solve`` gives the same
     sphere, support, pivots and exact pivots bit for bit as with the
-    bounds, on every kind, with block bounds (2e5 points) and with row
-    bounds (2e4, one scan chunk): the bounds only skip work."""
+    bounds, on every kind, with block bounds (2e5 points), with row
+    bounds (2e4, one scan chunk) and on a solved sample (3e5): the bounds
+    only skip work."""
     real = welzl._grown
 
     def unbounded(bound, c, ball, most):
