@@ -15,14 +15,12 @@ outside (see ``welzl``): the rows, on a cloud of at most one scan chunk,
 or else the 64-row blocks, whose distance bound may exceed the limit.
 Since that loop ends only on a scan that finds no point outside, any
 start ball gives the exact answer. So at the automatic k, ``solve``
-validates and reduces only a strided sample of about one scan chunk,
-every ``N // _SCAN_CHUNK``-th row (Clarkson's sampling for LP-type
-problems, 1995), and the repair's first full scan meets the rows the
-sample skipped and validates them as it reads them. From a stride of
-``_SOLVED_SAMPLE`` the sample is solved outright: the same loop runs over
-it from its reduced set's ball, and its min ball starts the repair.
-Below two scan chunks the stride is 1 and the whole cloud is validated,
-reduced and repaired as one; a named k always is.
+validates, reduces and solves outright only a strided sample of
+max(1024, 4√N) to twice as many rows (Clarkson's sampling for LP-type
+problems, 1995), and the sample's min ball starts the repair, whose first
+full scan validates the rows the sample skipped as it reads them. Below
+2,048 rows the stride is 1 and the whole cloud is validated, reduced and
+repaired as one; a named k always is.
 ``solve`` is the one entry point for the library, the CLI and the bench;
 ``strategy="welzl"`` skips the reduced set and pivots over the full cloud
 from its first four rows, which is ``welzl_solve``.
@@ -47,15 +45,15 @@ import numpy as np
 
 from .errors import InvalidKError, InvalidParamsError
 from .geom import _TINY_COORD, Sphere, _as_array, _checked, _unit_cloud, as_cloud, tolerance_for  # noqa: F401  tolerance_for: unused, but perfbench/spans.py hooks it
-from .welzl import _SCAN_CHUNK, _pivot_ball, _pivot_solve, _scaled, _solved_ball, welzl_solve
+from .welzl import _pivot_ball, _pivot_solve, _scaled, _solved_ball, welzl_solve
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 _BLOCK_ELEMS = 2 ** 17  # doubles per reduce block: ~1 MB, which keeps BLAS threading cheap
-# stride from which ``solve`` solves its sample outright: the sample's own
-# rounds read about one more sample, and from here the full-cloud rescans
-# they save repay it (summed over seven kinds, seeds 1, 3 and 21: 12 %
-# slower at stride 3, 3 % at 6, level at 7, 6 % faster at 8, 19 % at 30)
-_SOLVED_SAMPLE = 8
+# least sample of the automatic k, in rows. Summed medians over seven kinds,
+# seeds 1, 3, 21 (11 alternated rounds, 2-CPU host) at 1e4 / 3e4 / 1e5 points:
+# 7.9 / 11.5 / 26.0 ms; 8192 took 7.0 / 14.1 / 28.1, and the one-scan-chunk
+# sample (from 65,536 rows) this replaced 6.9 / 12.0 / 36.9
+_SAMPLE_FLOOR = 1024
 
 
 class KSelection(NamedTuple):
@@ -86,8 +84,7 @@ class SolveReport:
     """What ``solve`` found and where its time went.
 
     ``reduced_size`` counts the reduced set: at the automatic k, the
-    picks of ``solve``'s strided sample, on clouds of two scan chunks or
-    more.
+    picks of ``solve``'s strided sample, on clouds of 2,048 rows or more.
     ``repair_rounds`` counts the pivots after the reduced set's solve,
     whether a full scan or a batched round's candidates supplied them,
     those over a strided sample included; ``exact_pivots`` counts those
@@ -232,6 +229,11 @@ def reduce(points, sel) -> ReducedSet:
     return ReducedSet(indices, picks)
 
 
+def _stride(n: int) -> int:
+    """The automatic k's sample stride on n rows: 1, or a sample of max(_SAMPLE_FLOOR, 4√n) to 2x as many rows."""
+    return max(1, n // max(_SAMPLE_FLOOR, 4 * math.isqrt(n)))
+
+
 def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> SolveReport:
     """Smallest enclosing sphere of a cloud, by reduction or by the full solve.
 
@@ -243,11 +245,9 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
         ``reduce``. Only the projection strategy reads it. A named count
         reduces the whole cloud. None means k = 1, four directions: over
         k in {1, 2, 3, 4, 6, 12}, every ``datagen`` kind and N in {1e4,
-        1e5, 1e6}, it had the least total solve time. Once N reaches two
-        scan chunks (65,536 rows) it reduces every ``N // _SCAN_CHUNK``-th
-        row, about one scan chunk, and from eight scan chunks solves that
-        sample outright; below two, the whole cloud, bit for bit as
-        ``sel=1``.
+        1e5, 1e6}, it had the least total solve time. From 2,048 rows it
+        solves a strided sample (``_stride``) outright first; below, the
+        whole cloud, bit for bit as ``sel=1``.
     seed : recorded in the report; the solve is deterministic and does
         not read it.
     strategy : "projection" (reduce, solve, verify and repair) or "welzl"
@@ -288,7 +288,7 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
         raise InvalidParamsError(f"unknown strategy {strategy!r}")
     t0 = time.perf_counter()
     P, e = _as_array(points), 0
-    step = max(1, len(P) // _SCAN_CHUNK) if sel is None and strategy == "projection" else 1
+    step = _stride(len(P)) if sel is None and strategy == "projection" else 1
     S, m = _checked(P[::step]) if step > 1 else (P, 0.0)  # the sample, copied: a strided view scans slowly
     if m < _TINY_COORD:  # e may be nonzero: validate and scale the whole cloud first
         P, e = _unit_cloud(P)
@@ -304,7 +304,7 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
         small, sup = welzl_solve(S[rows], seed=seed)
         t2 = time.perf_counter()
         start = _solved_ball(S, small, rows[list(sup.indices)].tolist())
-        if step >= _SOLVED_SAMPLE:  # the sample's own min ball
+        if step > 1:  # the sample's own min ball
             start, *sampled = _pivot_ball(S, start)
         start = start._replace(support=tuple((p, i * step) for p, i in start.support))  # rows of P
     sphere, support, *counts = _pivot_solve(P, start, m >= _TINY_COORD)  # validate unless _unit_cloud did

@@ -258,7 +258,8 @@ def test_noisy_shell_repair_is_bounded(monkeypatch):
     which nearly every point is a hull vertex. The small solve sees only the
     reduced set (at most 4k rows), and the repair takes 6 pivots at k = 1
     and at 6, over two full scans: one gathers 3125 candidates, the other
-    finds no point outside. From the automatic k's sampled start it takes 7."""
+    finds no point outside. From the automatic k's solved sample it takes 9,
+    over the sample and the cloud."""
     P = noisy_shell(200_000)
     full, _ = welzl_solve(P, seed=0)
     sizes = []
@@ -273,7 +274,7 @@ def test_noisy_shell_repair_is_bounded(monkeypatch):
         assert rel_err(rep.sphere.radius, full.radius) < 1e-12, sel
 
 
-_STEP_2E5 = 200_000 // projection._SCAN_CHUNK  # the automatic k's sample stride at 2e5 points
+_STEP_2E5 = projection._stride(200_000)  # the automatic k's sample stride at 2e5 points
 
 
 def _reduced_rows(monkeypatch, P, sel):
@@ -289,12 +290,13 @@ def _reduced_rows(monkeypatch, P, sel):
 @pytest.mark.parametrize("kind", kinds())
 def test_sampled_start_is_exact(kind, monkeypatch):
     """At the automatic k a 2e5-point cloud is reduced through a strided
-    sample of about one scan chunk; the repair from the sample's ball ends
-    on welzl_solve's ball and encloses every point."""
+    sample of about 4√N rows, which is then solved outright; the repair
+    from the sample's min ball ends on welzl_solve's ball and encloses
+    every point."""
     P = generate(kind, 200_000, seed=3)
     rep, seen, small = _reduced_rows(monkeypatch, P, None)
     S = P[::_STEP_2E5]
-    assert seen == [len(S)], kind
+    assert seen == [len(S)] and 4 * math.isqrt(len(P)) <= len(S) <= 8 * math.isqrt(len(P)), kind
     assert np.array_equal(small[0], S[reduce(S, rep.k).indices]), kind
     assert rep.reduced_size == len(small[0]), kind
     ref, _ = welzl_solve(P)
@@ -341,16 +343,16 @@ def test_sampled_start_reads_the_clustered_cloud_once():
 
 @pytest.mark.parametrize("chunks", [3, 8])
 def test_invalid_rows_off_the_stride_are_rejected(chunks):
-    """Of a sampled cloud only the sample is validated before the repair,
-    whose first full scan validates each chunk it reads; from stride 8 the
-    sample is solved first. A bad coordinate on a row the sample skips, in
-    the first chunk, on either side of a chunk boundary or in the short
-    last block, raises as it does anywhere else."""
-    c = projection._SCAN_CHUNK
+    """Of a sampled cloud only the sample is validated and solved before
+    the repair, whose first full scan validates each chunk it reads. A bad
+    coordinate on a row the sample skips, in the first chunk, on either
+    side of a chunk boundary or in the short last block, raises as it does
+    anywhere else."""
+    c = welzl._SCAN_CHUNK
     P = generate("uniform-ball", chunks * c + 5, seed=6)
-    step = len(P) // c
+    step = projection._stride(len(P))
     rows = [i for i in (1, c - 1, c, c + 1, len(P) - 1) if i % step]
-    assert step == chunks and len(rows) == 4 and c - 1 in rows
+    assert step > 1 and {1, c - 1, c + 1, len(P) - 1} <= set(rows)  # all off the stride
     assert len(P) - 1 >= len(P) // welzl._BLOCK * welzl._BLOCK  # in the short last block
     for bad in (np.nan, np.inf, -np.inf, np.nextafter(1e150, np.inf)):
         for i in rows:
@@ -381,11 +383,11 @@ def test_power_of_two_scaling_is_exact_on_a_sampled_cloud(s):
 def test_tiny_sample_with_a_large_row_off_the_stride():
     """Every sampled row is below 2**-400 but a skipped row is 1.0: the
     sample cannot tell the cloud's scale, so the whole cloud is validated
-    first, and the sphere is ``welzl_solve``'s and encloses every row. At
-    3e5 points the sample is solved first."""
+    first, and the sphere is ``welzl_solve``'s and encloses every row."""
     P = generate("uniform-ball", 300_000, seed=8) * 2.0 ** -450
-    step = len(P) // projection._SCAN_CHUNK
+    step = projection._stride(len(P))
     P[step + 1] = (1.0, 0.0, 0.0)
+    assert step > 1 and (step + 1) % step  # off the stride
     assert np.abs(P[::step]).max() < 2.0 ** -400
     rep = solve(P)
     ref, _ = welzl_solve(P)
@@ -397,9 +399,12 @@ def test_tiny_sample_with_a_large_row_off_the_stride():
 
 @pytest.mark.parametrize("kind", kinds())
 def test_no_sample_below_two_scan_chunks(kind, monkeypatch):
-    """Below two scan chunks the stride is 1: the automatic k solves bit
-    for bit as a named k = 1, on the whole cloud."""
-    P = generate(kind, 2 * projection._SCAN_CHUNK - 1, seed=2)
+    """Below twice ``_SAMPLE_FLOOR`` rows the stride is 1: the automatic k
+    solves bit for bit as a named k = 1, on the whole cloud. One row more
+    is sampled."""
+    n = 2 * projection._SAMPLE_FLOOR - 1
+    assert projection._stride(n) == 1 and projection._stride(n + 1) == 2
+    P = generate(kind, n, seed=2)
     auto, seen, _ = _reduced_rows(monkeypatch, P, None)
     named = solve(P, sel=1)
     assert seen == [len(P)] * 2, kind
@@ -408,6 +413,18 @@ def test_no_sample_below_two_scan_chunks(kind, monkeypatch):
     assert auto.support_indices == named.support_indices, kind
     assert (auto.reduced_size, auto.repair_rounds, auto.exact_pivots, auto.scanned_rows) == \
         (named.reduced_size, named.repair_rounds, named.exact_pivots, named.scanned_rows), kind
+
+
+def test_sample_size_is_clarkson_sized():
+    """The automatic k's sample, ``range(0, n, _stride(n))``, has between
+    min(n, 1024) and 2·max(1024, 4√n) rows, for n from 1 to 1e8: every n up
+    to 1e5, then a geometric grid and the squares next to it."""
+    grid = np.unique(np.geomspace(1e5, 1e8, 3000).astype(int)).tolist()
+    ns = itertools.chain(range(1, 100_001), (m + d for m in grid for d in (-1, 0, 1)),
+                         (math.isqrt(m) ** 2 + d for m in grid for d in (-1, 0, 1)))
+    for n in ns:
+        size = len(range(0, n, projection._stride(n)))
+        assert min(n, 1024) <= size <= 2 * max(1024, 4 * math.sqrt(n)), n
 
 
 @pytest.mark.parametrize("sel", [1, 6, KSelection("general", 24)])

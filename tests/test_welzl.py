@@ -522,7 +522,7 @@ def test_grown_asks_for_a_full_scan_when_the_centre_moves_beyond_the_radius():
 # from the solved sample's min ball, whose own rounds (on ``len(Q) <
 # len(P)``) add about one sample to the rows; from the sample's reduced set
 # the full-cloud scans read 1.93, 1.22, 1.00, 1.11, 1.00, 3.44 and 1.11 N.
-_SCANS = {"uniform-ball": ((4, 2), (3, 1.6)), "uniform-cube": ((2, 2), (2, 1.4)),
+_SCANS = {"uniform-ball": ((5, 2), (3, 1.6)), "uniform-cube": ((2, 2), (2, 1.4)),
           "collinear": ((2, 2), (2, 1.2)), "coplanar-disk": ((2, 2), (2, 1.2)),
           "co-spherical": ((1, 2), (1, 1.2)), "clustered": ((3, 3), (3, 1.5)),
           "near-degenerate": ((2, 2), (2, 1.2))}
