@@ -48,7 +48,7 @@ print("row 8 (the interior center) is never selected:", 8 not in red.indices)
 # --- the budget and the automatic plane count ----------------------------
 # sel=None means k = 1, a measured constant: four extremes and a few
 # full-cloud pivots were the fastest total over every generator kind from
-# 1e4 to 1e6 points; from 2,048 points up only a strided sample of about
+# 1e4 to 1e6 points; from 32,768 points up only a strided sample of about
 # 4*sqrt(N) rows is reduced, and solved before the full-cloud repair
 print()
 for n in (100, 10_000, 100_000):

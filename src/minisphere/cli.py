@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--strategy", choices=("projection", "welzl"), default="projection",
                          help="projection: reduce, solve, repair; welzl: solve the full cloud")
     p_solve.add_argument("--k", type=_k_arg, default=None,
-                         help="projection plane count, or 'auto': k = 1, on a ~4*sqrt(N) sample from 2,048 points up")
+                         help="projection plane count, or 'auto': k = 1, on a ~4*sqrt(N) sample from 32,768 points up")
     p_solve.add_argument("--seed", type=_seed_value, default=None,
                          help="seed recorded in the report; the solve does not read it "
                               "(default: $MINISPHERE_SEED or 0)")

@@ -19,8 +19,8 @@ validates, reduces and solves outright only a strided sample of
 max(1024, 4√N) to twice as many rows (Clarkson's sampling for LP-type
 problems, 1995), and the sample's min ball starts the repair, whose first
 full scan validates the rows the sample skipped as it reads them. Below
-2,048 rows the stride is 1 and the whole cloud is validated, reduced and
-repaired as one; a named k always is.
+32,768 rows the sample's own rounds cost more than they save: the whole
+cloud is validated, reduced and repaired as one, as it is at a named k.
 ``solve`` is the one entry point for the library, the CLI and the bench;
 ``strategy="welzl"`` skips the reduced set and pivots over the full cloud
 from its first four rows, which is ``welzl_solve``.
@@ -49,10 +49,10 @@ from .welzl import _pivot_ball, _pivot_solve, _scaled, _solved_ball, welzl_solve
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 _BLOCK_ELEMS = 2 ** 17  # doubles per reduce block: ~1 MB, which keeps BLAS threading cheap
-# least sample of the automatic k, in rows. Summed medians over seven kinds,
-# seeds 1, 3, 21 (11 alternated rounds, 2-CPU host) at 1e4 / 3e4 / 1e5 points:
-# 7.9 / 11.5 / 26.0 ms; 8192 took 7.0 / 14.1 / 28.1, and the one-scan-chunk
-# sample (from 65,536 rows) this replaced 6.9 / 12.0 / 36.9
+# auto-k sample: from _SAMPLE_FROM rows, at least _SAMPLE_FLOOR rows. Summed medians of 21 solves (7 kinds x
+# seeds 1, 3, 21, alternated, 2-CPU host), whole cloud / sample, ms: 4e3 5.3 / 6.4, 1e4 6.3 / 6.9, 2.4e4 9.0 /
+# 9.2, 3e4 10.7 / 10.1, 4e4 16.8 / 12.6, 5e4 18.9 / 13.8. Floor 8192 at 3e4 / 1e5: 14.1 / 28.1, 1024 11.5 / 26.0
+_SAMPLE_FROM = 2 ** 15
 _SAMPLE_FLOOR = 1024
 
 
@@ -84,7 +84,7 @@ class SolveReport:
     """What ``solve`` found and where its time went.
 
     ``reduced_size`` counts the reduced set: at the automatic k, the
-    picks of ``solve``'s strided sample, on clouds of 2,048 rows or more.
+    picks of ``solve``'s strided sample, on clouds of 32,768 rows or more.
     ``repair_rounds`` counts the pivots after the reduced set's solve,
     whether a full scan or a batched round's candidates supplied them,
     those over a strided sample included; ``exact_pivots`` counts those
@@ -231,7 +231,7 @@ def reduce(points, sel) -> ReducedSet:
 
 def _stride(n: int) -> int:
     """The automatic k's sample stride on n rows: 1, or a sample of max(_SAMPLE_FLOOR, 4√n) to 2x as many rows."""
-    return max(1, n // max(_SAMPLE_FLOOR, 4 * math.isqrt(n)))
+    return n // max(_SAMPLE_FLOOR, 4 * math.isqrt(n)) if n >= _SAMPLE_FROM else 1
 
 
 def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> SolveReport:
@@ -245,7 +245,7 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
         ``reduce``. Only the projection strategy reads it. A named count
         reduces the whole cloud. None means k = 1, four directions: over
         k in {1, 2, 3, 4, 6, 12}, every ``datagen`` kind and N in {1e4,
-        1e5, 1e6}, it had the least total solve time. From 2,048 rows it
+        1e5, 1e6}, it had the least total solve time. From 32,768 rows it
         solves a strided sample (``_stride``) outright first; below, the
         whole cloud, bit for bit as ``sel=1``.
     seed : recorded in the report; the solve is deterministic and does

@@ -399,11 +399,11 @@ def test_tiny_sample_with_a_large_row_off_the_stride():
 
 @pytest.mark.parametrize("kind", kinds())
 def test_no_sample_below_two_scan_chunks(kind, monkeypatch):
-    """Below twice ``_SAMPLE_FLOOR`` rows the stride is 1: the automatic k
-    solves bit for bit as a named k = 1, on the whole cloud. One row more
-    is sampled."""
-    n = 2 * projection._SAMPLE_FLOOR - 1
-    assert projection._stride(n) == 1 and projection._stride(n + 1) == 2
+    """Below ``_SAMPLE_FROM`` rows the stride is 1: the automatic k solves
+    bit for bit as a named k = 1, on the whole cloud. One row more is
+    sampled, one row in 32."""
+    n = projection._SAMPLE_FROM - 1
+    assert projection._stride(n) == 1 and projection._stride(n + 1) == 32
     P = generate(kind, n, seed=2)
     auto, seen, _ = _reduced_rows(monkeypatch, P, None)
     named = solve(P, sel=1)
@@ -416,15 +416,19 @@ def test_no_sample_below_two_scan_chunks(kind, monkeypatch):
 
 
 def test_sample_size_is_clarkson_sized():
-    """The automatic k's sample, ``range(0, n, _stride(n))``, has between
-    min(n, 1024) and 2·max(1024, 4√n) rows, for n from 1 to 1e8: every n up
-    to 1e5, then a geometric grid and the squares next to it."""
+    """The automatic k's sample, ``range(0, n, _stride(n))``, is the whole
+    cloud below ``_SAMPLE_FROM`` rows and from there has between 1024 and
+    2·max(1024, 4√n) rows, for n from 1 to 1e8: every n up to 1e5, then a
+    geometric grid and the squares next to it."""
     grid = np.unique(np.geomspace(1e5, 1e8, 3000).astype(int)).tolist()
     ns = itertools.chain(range(1, 100_001), (m + d for m in grid for d in (-1, 0, 1)),
                          (math.isqrt(m) ** 2 + d for m in grid for d in (-1, 0, 1)))
     for n in ns:
         size = len(range(0, n, projection._stride(n)))
-        assert min(n, 1024) <= size <= 2 * max(1024, 4 * math.sqrt(n)), n
+        if n < projection._SAMPLE_FROM:
+            assert size == n, n
+        else:
+            assert 1024 <= size <= 2 * max(1024, 4 * math.sqrt(n)), n
 
 
 @pytest.mark.parametrize("sel", [1, 6, KSelection("general", 24)])

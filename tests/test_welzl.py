@@ -513,27 +513,25 @@ def test_grown_asks_for_a_full_scan_when_the_centre_moves_beyond_the_radius():
 
 
 # scans of the full cloud (calls of ``welzl._outside_rows`` on all its rows)
-# by ``solve`` per kind, seed 7, as measured at the automatic k, and a bound
-# on all the rows its scans read, in units of the cloud's size. At 2e5
-# points (stride 6) the repair starts from the sample's reduced set (from
-# the whole cloud's reduce they were 4, 2, 1, 4, 1, 3 and 4; one full scan
-# per pivot took 10, 4, 1, 5, 1, 3 and 5); that start ball of the clustered
-# cloud is poor, so its second scan is full. At 3e5 (stride 9) it starts
-# from the solved sample's min ball, whose own rounds (on ``len(Q) <
-# len(P)``) add about one sample to the rows; from the sample's reduced set
-# the full-cloud scans read 1.93, 1.22, 1.00, 1.11, 1.00, 3.44 and 1.11 N.
-_SCANS = {"uniform-ball": ((5, 2), (3, 1.6)), "uniform-cube": ((2, 2), (2, 1.4)),
-          "collinear": ((2, 2), (2, 1.2)), "coplanar-disk": ((2, 2), (2, 1.2)),
-          "co-spherical": ((1, 2), (1, 1.2)), "clustered": ((3, 3), (3, 1.5)),
-          "near-degenerate": ((2, 2), (2, 1.2))}
+# by ``solve`` per kind, seed 7, as measured, and a bound on all the rows its
+# scans read, in units of the cloud's size. At 2e5 points with k = 1 named,
+# the repair starts from the whole cloud's reduced set, on block bounds (it
+# reads 1.17, 1.19, 1.00, 1.07, 1.00, 2.10 and 1.07 N). At 3e5 points at the
+# automatic k it starts from the solved sample's min ball, whose own rounds
+# (on ``len(Q) < len(P)``) add about one sample to the rows.
+_SCANS = {"uniform-ball": ((4, 1.3), (3, 1.6)), "uniform-cube": ((2, 1.3), (2, 1.4)),
+          "collinear": ((1, 1.2), (2, 1.2)), "coplanar-disk": ((4, 1.2), (2, 1.2)),
+          "co-spherical": ((1, 1.2), (1, 1.2)), "clustered": ((3, 2.2), (3, 1.5)),
+          "near-degenerate": ((4, 1.2), (2, 1.2))}
 
 
 @pytest.mark.parametrize("kind", sorted(_SCANS))
 def test_solve_scans_the_full_cloud_few_times(kind, monkeypatch):
-    """``solve``'s repair scans a 2e5- or 3e5-point cloud in a few batched
-    rounds, the last of which finds no row outside; after the first, a scan
-    mostly visits only the blocks its bound does not certify. ``welzl_solve``
-    keeps pivoting on one full scan per pivot and gathers no candidates."""
+    """``solve``'s repair scans a 2e5-point cloud at k = 1 or a 3e5-point
+    one at the automatic k (a solved sample) in a few batched rounds, the
+    last of which finds no row outside; after the first, a scan mostly
+    visits only the blocks its bound does not certify. ``welzl_solve`` keeps
+    pivoting on one full scan per pivot and gathers no candidates."""
     real = welzl._outside_rows
     ends = []
 
@@ -544,10 +542,10 @@ def test_solve_scans_the_full_cloud_few_times(kind, monkeypatch):
         return r
 
     monkeypatch.setattr(welzl, "_outside_rows", outside_rows)
-    for n, (scans, rows) in zip((200_000, 300_000), _SCANS[kind]):
+    for (n, sel), (scans, rows) in zip(((200_000, 1), (300_000, None)), _SCANS[kind]):
         P = generate(kind, n, seed=7)
         ends.clear()
-        rep = projection.solve(P, seed=7)
+        rep = projection.solve(P, sel=sel, seed=7)
         assert 1 <= len(ends) <= scans, (kind, n, ends)
         assert ends[-1] == 0 and all(ends[:-1]), (kind, n, ends)
         assert len(P) <= rep.scanned_rows < rows * len(P), (kind, n, rep.scanned_rows)
@@ -559,15 +557,16 @@ def test_solve_scans_the_full_cloud_few_times(kind, monkeypatch):
         assert max_violation(P, rep.sphere.center, rep.sphere.radius) <= 1e-12 * rep.sphere.radius, (kind, n)
 
 
-@pytest.mark.parametrize("n", [20_000, 200_000, 300_000])
+@pytest.mark.parametrize("n, sel", [pytest.param(n, sel, id=str(n)) for n, sel in ((20_000, None), (200_000, 1), (300_000, None))])
 @pytest.mark.parametrize("every", ["full", "gathered"])
-def test_unbounded_rescans_change_no_answer(every, n, monkeypatch):
+def test_unbounded_rescans_change_no_answer(every, n, sel, monkeypatch):
     """With every bound forced to +inf, so that every scan is full, or with
     every entry listed for a gathered rescan, ``solve`` gives the same
     sphere, support, pivots and exact pivots bit for bit as with the
-    bounds, on every kind, with block bounds (2e5 points), with row
-    bounds (2e4, one scan chunk) and on a solved sample (3e5): the bounds
-    only skip work."""
+    bounds, on every kind: from the whole cloud's reduced set with row
+    bounds (2e4 points, one scan chunk, at the automatic k) and with block
+    bounds (2e5, at k = 1), and on a solved sample (3e5, at the automatic
+    k): the bounds only skip work."""
     real = welzl._grown
 
     def unbounded(bound, c, ball, most):
@@ -577,10 +576,10 @@ def test_unbounded_rescans_change_no_answer(every, n, monkeypatch):
 
     for kind in kinds():
         P = generate(kind, n, seed=7)
-        want = projection.solve(P, seed=7)
+        want = projection.solve(P, sel=sel, seed=7)
         with monkeypatch.context() as m:
             m.setattr(welzl, "_grown", unbounded)
-            got = projection.solve(P, seed=7)
+            got = projection.solve(P, sel=sel, seed=7)
         assert np.array_equal(got.sphere.center, want.sphere.center), kind
         assert got.sphere.radius == want.sphere.radius, kind
         assert got.support_indices == want.support_indices, kind
