@@ -1,9 +1,10 @@
 """Command-line interface: solve, gen, bench.
 
-Exit codes: 0 success, 2 usage or parse problems, 3 empty or invalid
-geometry. Reports are JSON on stdout (or ``--out`` for bench); identical
-invocations with the same seed produce byte-identical output except for
-wall-clock timing fields. ``MINISPHERE_SEED`` supplies the default seed.
+Exit codes: 0 success, 3 empty or invalid geometry, 2 usage problems,
+parse errors, I/O errors and every other library error. Reports are JSON
+on stdout (or ``--out`` for bench); identical invocations with the same
+seed produce byte-identical output except for wall-clock timing fields.
+``MINISPHERE_SEED`` supplies the default seed.
 """
 
 from __future__ import annotations
@@ -15,17 +16,7 @@ import sys
 
 from . import bench, datagen
 from .cloudio import FORMATS, load_points, save_points
-from .errors import (
-    EmptyInputError,
-    InsufficientSamplesError,
-    InvalidGeometryError,
-    InvalidKError,
-    InvalidParamsError,
-    ParseError,
-    TooLargeError,
-    UnknownFormatError,
-    UnknownKindError,
-)
+from .errors import EmptyInputError, InvalidGeometryError, MinisphereError, ParseError
 from .projection import solve
 
 _PROG = "minisphere"
@@ -96,7 +87,7 @@ def _resolve_seed(args) -> int:
     try:
         return _seed_value(env)
     except argparse.ArgumentTypeError as exc:
-        raise InvalidParamsError(f"MINISPHERE_SEED: {exc}") from None
+        raise MinisphereError(f"MINISPHERE_SEED: {exc}") from None
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -208,23 +199,13 @@ def main(argv=None) -> int:
         where = f" at line {exc.line}" if exc.line is not None else ""
         _fail(f"parse error{where}: {exc}")
         return 2
-    except (
-        UnknownKindError,
-        UnknownFormatError,
-        InvalidKError,
-        InvalidParamsError,
-        InsufficientSamplesError,
-        TooLargeError,
-    ) as exc:
-        _fail(str(exc))
-        return 2
     except EmptyInputError:
         _fail("no points")
         return 3
     except InvalidGeometryError as exc:
         _fail(f"invalid geometry: {exc}")
         return 3
-    except OSError as exc:
+    except (MinisphereError, OSError) as exc:
         _fail(str(exc))
         return 2
 

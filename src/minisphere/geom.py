@@ -33,16 +33,15 @@ _EPS = 1e-9  # the degeneracy cut, relative to the extent of the points tested
 
 
 class Tolerance(NamedTuple):
-    """What ``tolerance_for`` returns: ``_EPS`` and a cloud's bounding-box
-    diagonal, whose product ``abs_eps`` sizes the oracles' and the tests'
-    enclosure bands."""
+    """What ``tolerance_for`` returns: a cloud's bounding-box diagonal,
+    whose product with ``_EPS``, ``abs_eps``, sizes the oracles' and the
+    tests' enclosure bands."""
 
-    eps_rel: float = _EPS
-    scale: float = 0.0
+    scale: float
 
     @property
     def abs_eps(self) -> float:
-        return self.eps_rel * self.scale
+        return _EPS * self.scale
 
 
 _CHECK_ROWS = 32768  # rows per range-check chunk: 768 kB, so max() rereads min()'s rows from cache
@@ -120,9 +119,9 @@ def _magnitude(Q: np.ndarray) -> float:
 def tolerance_for(points) -> Tolerance:
     """Tolerance whose scale is the bounding-box diagonal of ``points``.
 
-    The relative epsilon is ``Tolerance``'s default; the oracles and the
-    tests size their bands with it. The box is taken column by column,
-    ~10x faster than axis-0 max/min on a row-major (N, 3) array.
+    The oracles and the tests size their bands with its ``abs_eps``. The
+    box is taken column by column, ~10x faster than axis-0 max/min on a
+    row-major (N, 3) array.
     """
     P = as_cloud(points)
     hi = [float(P[:, i].max()) for i in range(3)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyInputError, TooLargeError
-from .geom import Sphere, as_cloud, tolerance_for
+from .geom import _EPS, Sphere, as_cloud, tolerance_for
 
 _MAX_BRUTE = 80
 _MAX_HULL = 60
@@ -27,7 +27,7 @@ def brute_force_ses(points) -> Sphere:
     Parameters
     ----------
     points : (N, 3) array-like, 1 <= N <= 80. Its ``tolerance_for`` sets
-        the degeneracy cut and the enclosure bands.
+        the enclosure bands; the degeneracy cut is ``geom._EPS``.
 
     Returns
     -------
@@ -46,7 +46,6 @@ def brute_force_ses(points) -> Sphere:
     tol = tolerance_for(P)
     if n == 1:
         return Sphere(P[0].copy(), 0.0)
-    eps = tol.eps_rel
 
     centers = []
     radii2 = []
@@ -56,12 +55,12 @@ def brute_force_ses(points) -> Sphere:
     radii2.append(0.25 * ((P[i] - P[j]) ** 2).sum(axis=1))
 
     if n >= 3:
-        c, r2 = _circumcircles(P, eps)
+        c, r2 = _circumcircles(P)
         if len(c):
             centers.append(c)
             radii2.append(r2)
     if n >= 4:
-        c, r2 = _circumspheres(P, eps)
+        c, r2 = _circumspheres(P)
         if len(c):
             centers.append(c)
             radii2.append(r2)
@@ -153,7 +152,7 @@ def _combo_index(n, k):
     return np.concatenate(blocks, axis=0)
 
 
-def _circumcircles(P, eps):
+def _circumcircles(P):
     idx = _combo_index(len(P), 3)
     A, B, C = P[idx[:, 0]], P[idx[:, 1]], P[idx[:, 2]]
     ba = B - A
@@ -164,7 +163,7 @@ def _circumcircles(P, eps):
     bc = C - B
     l2 = np.maximum(np.maximum(d11, d22), (bc * bc).sum(axis=1))
     det = d11 * d22 - d12 * d12
-    keep = det > (eps * l2) ** 2
+    keep = det > (_EPS * l2) ** 2
     if not keep.any():
         return np.empty((0, 3)), np.empty(0)
     d11, d22, d12, det = d11[keep], d22[keep], d12[keep], det[keep]
@@ -175,7 +174,7 @@ def _circumcircles(P, eps):
     return centers, r2
 
 
-def _circumspheres(P, eps):
+def _circumspheres(P):
     idx = _combo_index(len(P), 4)
     A = P[idx[:, 0]]
     e1 = P[idx[:, 1]] - A
@@ -188,7 +187,7 @@ def _circumspheres(P, eps):
     # much faster than batched LAPACK at half a million quadruples
     c23 = np.cross(e2, e3)
     det = (e1 * c23).sum(axis=1)
-    keep = det * det > (eps * eps) * l2 ** 3
+    keep = det * det > (_EPS * _EPS) * l2 ** 3
     if not keep.any():
         return np.empty((0, 3)), np.empty(0)
     e1, e2, e3, c23 = e1[keep], e2[keep], e3[keep], c23[keep]

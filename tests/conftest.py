@@ -2,8 +2,22 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _src_on_child_path():
+    """pyproject.toml's ``pythonpath`` puts src/ on this process's import
+    path only; export it too, so that the CLI subprocesses the tests start
+    import the same checkout without an install."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 def rel_err(got: float, want: float) -> float:

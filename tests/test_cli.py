@@ -159,6 +159,40 @@ def test_bench_scaling_single_size_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "t.xyz", "--k", "0"],  # InvalidKError
+    ["solve", "cloud.parquet"],  # UnknownFormatError
+    ["bench", "convergence", "--n", "401"],  # TooLargeError
+], ids=["k-0", "parquet", "convergence-401"])
+def test_library_error_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv):
+    """Every library error besides a parse error and empty or invalid
+    geometry exits 2, through the one ``MinisphereError`` handler."""
+    np.savetxt(tmp_path / "t.xyz", cube_corners())
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("minisphere: error: ")
+
+
+def test_new_library_error_exits_2(capsys, cube_csv, monkeypatch):
+    """A ``MinisphereError`` subclass the CLI does not name exits 2, as
+    does a bad ``MINISPHERE_SEED``."""
+
+    class NewError(minisphere.errors.MinisphereError):
+        pass
+
+    def raise_new(*args, **kwargs):
+        raise NewError("brand new")
+
+    monkeypatch.setattr("minisphere.cli.solve", raise_new)
+    code, _, err = run_cli(capsys, "solve", cube_csv)
+    assert (code, err) == (2, "minisphere: error: brand new\n")
+    monkeypatch.undo()
+    monkeypatch.setenv("MINISPHERE_SEED", "-1")
+    code, _, err = run_cli(capsys, "solve", cube_csv)
+    assert code == 2 and err.startswith("minisphere: error: MINISPHERE_SEED: ")
+
+
 def test_usage_error_exits_2(capsys):
     assert run_cli(capsys, "solve")[0] == 2
     assert run_cli(capsys, "frobnicate")[0] == 2

@@ -398,7 +398,7 @@ def test_tiny_sample_with_a_large_row_off_the_stride():
 
 
 @pytest.mark.parametrize("kind", kinds())
-def test_no_sample_below_two_scan_chunks(kind, monkeypatch):
+def test_no_sample_below_sample_from(kind, monkeypatch):
     """Below ``_SAMPLE_FROM`` rows the stride is 1: the automatic k solves
     bit for bit as a named k = 1, on the whole cloud. One row more is
     sampled, one row in 32."""
