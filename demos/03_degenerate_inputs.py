@@ -23,14 +23,14 @@ rep = solve(P, seed=3)
 print(f"coplanar-disk  r={rep.sphere.radius:.15f}  repairs={rep.repair_rounds}")
 
 # co-spherical: everything already sits on the answer
-P = generate("co-spherical", n, seed=3, radius=2.5)
+P = 2.5 * generate("co-spherical", n, seed=3)
 rep = solve(P, seed=3)
 print(f"co-spherical   r={rep.sphere.radius:.15f}  shell=2.5  "
       f"rel={abs(rep.sphere.radius - 2.5) / 2.5:.1e}")
 
 # near-degenerate: a disk with 1e-8 of normal jitter; tolerance predicates
 # must neither blow up nor collapse the problem
-P = generate("near-degenerate", n, seed=3, sigma=1e-8)
+P = generate("near-degenerate", n, seed=3)
 rep = solve(P, seed=3)
 ref, _ = welzl_solve(P, seed=3)
 print(f"near-degenerate r={rep.sphere.radius:.15f}  full-welzl={ref.radius:.15f}  "

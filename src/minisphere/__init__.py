@@ -22,13 +22,7 @@ from .geom import (
     tolerance_for,
 )
 from .oracle import brute_force_ses, enclosing_circle_2d, is_hull_vertex
-from .projection import (
-    KSelection,
-    ReducedSet,
-    SolveReport,
-    reduce,
-    solve,
-)
+from .projection import ReducedSet, SolveReport, reduce, solve
 from .welzl import SupportSet, welzl_solve
 
 __version__ = "0.1.0"
@@ -45,7 +39,6 @@ __all__ = [
     "sphere_from_four",
     "welzl_solve",
     "SupportSet",
-    "KSelection",
     "ReducedSet",
     "SolveReport",
     "reduce",

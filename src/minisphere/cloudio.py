@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .errors import ParseError, UnknownFormatError
+from .errors import InvalidGeometryError, ParseError, UnknownFormatError
 
 FORMATS = ("csv", "xyz", "json")
 
@@ -127,9 +127,12 @@ def _fmt_float(x: float) -> str:
 
 
 def save_points(path, points, fmt: str | None = None) -> None:
-    """Write a point cloud in the chosen or extension-implied format."""
+    """Write an (N, 3) point cloud, N possibly 0, in the chosen or
+    extension-implied format; any other shape raises InvalidGeometryError."""
     fmt = _check_format(fmt) if fmt else detect_format(path)
-    P = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    P = np.asarray(points, dtype=np.float64)
+    if P.ndim != 2 or P.shape[1] != 3:
+        raise InvalidGeometryError(f"expected an (N, 3) point array, got shape {P.shape}")
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "csv":
             for x, y, z in P:

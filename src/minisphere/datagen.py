@@ -1,11 +1,13 @@
 """Seeded point-cloud generators for tests and benchmarks.
 
-Every generator is deterministic for a fixed (kind, n, seed, params) tuple
-and returns an (n, 3) float64 array. Degenerate kinds satisfy their
-defining constraint exactly in double precision: collinear and coplanar
-clouds are built on a dyadic coordinate grid with small integer frame
-vectors, so every product and sum in ``base + s * direction`` is exact and
-cross products of point differences cancel to literal 0.0.
+Every generator is deterministic for a fixed (kind, n, seed) triple and
+returns an (n, 3) float64 array at unit size: the unit ball or sphere, the
+unit cube, a unit disk (with 1e-8 of normal jitter when near-degenerate),
+a unit segment, or five clusters of spread 0.05. Degenerate kinds satisfy
+their defining constraint exactly in double precision: collinear and
+coplanar clouds are built on a dyadic coordinate grid with small integer
+frame vectors, so every product and sum in ``base + s * direction`` is
+exact and cross products of point differences cancel to literal 0.0.
 """
 
 from __future__ import annotations
@@ -31,18 +33,14 @@ def _unit_rows(rng, n):
     return v / norm[:, None]
 
 
-def _uniform_ball(rng, n, radius=1.0):
-    if radius <= 0:
-        raise InvalidParamsError("radius must be positive")
+def _uniform_ball(rng, n):
     dirs = _unit_rows(rng, n)
-    radii = radius * rng.uniform(0.0, 1.0, n) ** (1.0 / 3.0)
+    radii = rng.uniform(0.0, 1.0, n) ** (1.0 / 3.0)
     return dirs * radii[:, None]
 
 
-def _uniform_cube(rng, n, side=1.0):
-    if side <= 0:
-        raise InvalidParamsError("side must be positive")
-    return rng.uniform(0.0, side, (n, 3))
+def _uniform_cube(rng, n):
+    return rng.uniform(0.0, 1.0, (n, 3))
 
 
 def _distinct_snapped(rng, n, low, high, grid):
@@ -83,12 +81,10 @@ def _integer_plane_frame(rng):
     return nvec.astype(np.int64), u, v
 
 
-def _coplanar_disk(rng, n, radius=1.0):
-    if radius <= 0:
-        raise InvalidParamsError("radius must be positive")
+def _coplanar_disk(rng, n):
     nvec, u, v = _integer_plane_frame(rng)
     base = _snap(rng.uniform(-1.0, 1.0, 3), _PARAM_SNAP)
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
+    r = np.sqrt(rng.uniform(0.0, 1.0, n))
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     alpha = _snap(r * np.cos(theta) / np.linalg.norm(u), _PARAM_SNAP)
     beta = _snap(r * np.sin(theta) / np.linalg.norm(v), _PARAM_SNAP)
@@ -97,31 +93,14 @@ def _coplanar_disk(rng, n, radius=1.0):
     return base[None, :] + alpha[:, None] * U[None, :] + beta[:, None] * V[None, :]
 
 
-def _co_spherical(rng, n, radius=1.0, center=(0.0, 0.0, 0.0)):
-    if radius <= 0:
-        raise InvalidParamsError("radius must be positive")
-    c = np.asarray(center, dtype=np.float64)
-    if c.shape != (3,):
-        raise InvalidParamsError("center must be a 3-vector")
-    return c[None, :] + radius * _unit_rows(rng, n)
+def _clustered(rng, n):
+    centers = rng.uniform(-0.7, 0.7, (5, 3))
+    assign = rng.integers(0, 5, n)
+    return centers[assign] + rng.normal(0.0, 0.05, (n, 3))
 
 
-def _clustered(rng, n, clusters=5, spread=0.05):
-    clusters = int(clusters)
-    if clusters < 1:
-        raise InvalidParamsError("clusters must be >= 1")
-    if spread < 0:
-        raise InvalidParamsError("spread must be non-negative")
-    centers = rng.uniform(-0.7, 0.7, (clusters, 3))
-    assign = rng.integers(0, clusters, n)
-    return centers[assign] + rng.normal(0.0, spread, (n, 3))
-
-
-def _near_degenerate(rng, n, sigma=1e-8, radius=1.0):
-    if sigma < 0:
-        raise InvalidParamsError("sigma must be non-negative")
-    flat = _coplanar_disk(rng, n, radius=radius)
-    return flat + rng.normal(0.0, sigma, (n, 3))
+def _near_degenerate(rng, n):
+    return _coplanar_disk(rng, n) + rng.normal(0.0, 1e-8, (n, 3))
 
 
 _KINDS = {
@@ -129,7 +108,7 @@ _KINDS = {
     "uniform-cube": _uniform_cube,
     "collinear": _collinear,
     "coplanar-disk": _coplanar_disk,
-    "co-spherical": _co_spherical,
+    "co-spherical": _unit_rows,
     "clustered": _clustered,
     "near-degenerate": _near_degenerate,
 }
@@ -140,7 +119,7 @@ def kinds() -> tuple[str, ...]:
     return tuple(_KINDS)
 
 
-def generate(kind: str, n: int, seed: int = 0, **params) -> np.ndarray:
+def generate(kind: str, n: int, seed: int = 0) -> np.ndarray:
     """Generate ``n`` points of the given kind.
 
     Parameters
@@ -148,7 +127,6 @@ def generate(kind: str, n: int, seed: int = 0, **params) -> np.ndarray:
     kind : one of ``kinds()``.
     n : number of points, >= 1.
     seed : any non-negative integer; same arguments give bit-identical output.
-    params : per-kind options (radius, side, sigma, clusters, spread, center).
     """
     try:
         fn = _KINDS[kind]
@@ -159,8 +137,4 @@ def generate(kind: str, n: int, seed: int = 0, **params) -> np.ndarray:
         raise InvalidParamsError("n must be >= 1")
     if int(seed) < 0:
         raise InvalidParamsError("seed must be non-negative")
-    rng = np.random.default_rng(int(seed))
-    try:
-        return fn(rng, n, **params)
-    except TypeError as exc:
-        raise InvalidParamsError(f"bad parameters for {kind}: {exc}") from None
+    return fn(np.random.default_rng(int(seed)), n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyInputError, TooLargeError
+from .errors import EmptyInputError, InvalidGeometryError, TooLargeError
 from .geom import _EPS, Sphere, as_cloud, tolerance_for
 
 _MAX_BRUTE = 80
@@ -252,12 +252,12 @@ def enclosing_circle_2d(points2d) -> tuple[np.ndarray, float]:
     from scipy.spatial import ConvexHull, QhullError
 
     Q = np.asarray(points2d, dtype=np.float64)
-    if Q.ndim != 2 or Q.shape[1] != 2:
-        raise EmptyInputError("expected an (N, 2) array") if Q.size == 0 else ValueError("expected an (N, 2) array")
-    if len(Q) == 0:
+    if Q.size == 0:
         raise EmptyInputError("no points")
+    if Q.ndim != 2 or Q.shape[1] != 2:
+        raise InvalidGeometryError(f"expected an (N, 2) point array, got shape {Q.shape}")
     if not np.isfinite(Q).all():
-        raise ValueError("non-finite coordinates")
+        raise InvalidGeometryError("non-finite coordinates")
     if len(Q) == 1:
         return Q[0].copy(), 0.0
     H = Q

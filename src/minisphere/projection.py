@@ -56,17 +56,6 @@ _SAMPLE_FROM = 2 ** 15
 _SAMPLE_FLOOR = 1024
 
 
-class KSelection(NamedTuple):
-    """A plane count ``k``, which buys 4k reduce directions.
-
-    ``reduce`` and ``solve`` take it in place of a bare count. ``mode`` is
-    a label the solver does not read; "general" is the only one in use.
-    """
-
-    mode: str
-    k: int
-
-
 class ReducedSet(NamedTuple):
     """Indices forming P_s plus the picks that produced them.
 
@@ -199,9 +188,8 @@ def _extremes(P: np.ndarray, D: np.ndarray) -> np.ndarray:
     return out
 
 
-def _plane_count(sel) -> int:
-    """The plane count of a KSelection or a bare count: a positive integer."""
-    k = sel.k if isinstance(sel, KSelection) else sel
+def _plane_count(k) -> int:
+    """The plane count k, which buys 4k reduce directions: a positive integer."""
     try:
         k = operator.index(k)
     except TypeError:
@@ -211,10 +199,10 @@ def _plane_count(sel) -> int:
     return k
 
 
-def reduce(points, sel) -> ReducedSet:
+def reduce(points, k) -> ReducedSet:
     """Union of the extremes along 4k directions: the reduced set P_s.
 
-    ``sel`` is a KSelection or a bare plane count k. The directions are the
+    ``k`` is the plane count, a positive integer. The directions are the
     4k-point spherical Fibonacci set. An exact tie along direction d goes to
     the lexicographic maximum along d, then x, then y, then z, and then to
     the lowest index, which only identical points can reach. A
@@ -224,7 +212,7 @@ def reduce(points, sel) -> ReducedSet:
     deterministic. |indices| is at most min(N, 4k).
     """
     P = as_cloud(points)
-    picks = _extremes(P, _fibonacci_directions(4 * _plane_count(sel)))
+    picks = _extremes(P, _fibonacci_directions(4 * _plane_count(k)))
     indices = np.fromiter(dict.fromkeys(picks.tolist()), dtype=np.intp)
     return ReducedSet(indices, picks)
 
@@ -240,14 +228,14 @@ def solve(points, sel=None, seed: int = 0, strategy: str = "projection") -> Solv
     Parameters
     ----------
     points : (N, 3) array-like, N >= 1.
-    sel : KSelection, bare plane count, or None. Any other value must be
-        a positive integer count, or InvalidKError is raised, as in
-        ``reduce``. Only the projection strategy reads it. A named count
-        reduces the whole cloud. None means k = 1, four directions: over
-        k in {1, 2, 3, 4, 6, 12}, every ``datagen`` kind and N in {1e4,
-        1e5, 1e6}, it had the least total solve time. From 32,768 rows it
-        solves a strided sample (``_stride``) outright first; below, the
-        whole cloud, bit for bit as ``sel=1``.
+    sel : a plane count, or None. A count must be a positive integer, or
+        InvalidKError is raised, as in ``reduce``. Only the projection
+        strategy reads it. A named count reduces the whole cloud. None
+        means k = 1, four directions: over k in {1, 2, 3, 4, 6, 12}, every
+        ``datagen`` kind and N in {1e4, 1e5, 1e6}, it had the least total
+        solve time. From 32,768 rows it solves a strided sample
+        (``_stride``) outright first; below, the whole cloud, bit for bit
+        as ``sel=1``.
     seed : recorded in the report; the solve is deterministic and does
         not read it.
     strategy : "projection" (reduce, solve, verify and repair) or "welzl"

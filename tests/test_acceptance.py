@@ -23,7 +23,7 @@ from minisphere.bench import run_convergence, run_scaling
 from minisphere.datagen import generate
 from minisphere.geom import tolerance_for
 from minisphere.oracle import brute_force_ses, enclosing_circle_2d, is_hull_vertex
-from minisphere.projection import KSelection, reduce, solve
+from minisphere.projection import reduce, solve
 from minisphere.welzl import welzl_solve
 
 from conftest import cube_corners, max_violation, random_rotation, rel_err
@@ -54,8 +54,7 @@ def test_criterion_1_oracle_equivalence():
     worst = 0.0
     for i in range(500):
         kind = KINDS[i % len(KINDS)]
-        params = {"sigma": 1e-8} if kind == "near-degenerate" else {}
-        P = generate(kind, int(sizes[i]), seed=i, **params)
+        P = generate(kind, int(sizes[i]), seed=i)
         tol = tolerance_for(P)
         want = brute_force_ses(P)
         for got in (welzl_solve(P, seed=i)[0], solve(P, seed=i).sphere):
@@ -81,7 +80,7 @@ def test_criterion_2_reduced_set_is_hull_vertices():
         kind = KINDS[i % len(KINDS)]
         n = int(rng.integers(4, 41))
         P = generate(kind, n, seed=1000 + i)
-        red = reduce(P, KSelection("general", k_cycle[i % len(k_cycle)]))
+        red = reduce(P, k_cycle[i % len(k_cycle)])
         for idx in red.indices.tolist():
             checked += 1
             if not is_hull_vertex(idx, P):
@@ -106,10 +105,9 @@ def test_criterion_3_interior_points_never_selected():
         for k in (1, 6, 24):
             for P, interior in ((cube, 8), (ball, 40)):
                 trials += 1
-                sel = KSelection("general", k)
-                if interior in reduce(P, sel).indices:
+                if interior in reduce(P, k).indices:
                     bad += 1
-                if interior in solve(P, sel=sel, seed=seed).support_indices:
+                if interior in solve(P, sel=k, seed=seed).support_indices:
                     bad += 1
     ok = bad == 0
     line = _verdict(3, ok, f"{trials} construction/k/seed trials, {bad} interior picks")
@@ -202,9 +200,9 @@ def test_criterion_8_reduction_budget():
             for k in (1, 6, 24):
                 for seed in (0, 1):
                     P = generate(kind, n, seed=seed)
-                    red = reduce(P, KSelection("general", k))
+                    red = reduce(P, k)
                     assert len(red.indices) <= 4 * k
-                    rep = solve(P, sel=KSelection("general", k), seed=seed)
+                    rep = solve(P, sel=k, seed=seed)
                     assert rep.reduced_size <= 4 * k
                     worst = max(worst, rep.reduced_size / (4 * k))
                     count += 1

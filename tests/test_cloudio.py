@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minisphere.cloudio import FORMATS, detect_format, load_points, save_points
-from minisphere.errors import ParseError, UnknownFormatError
+from minisphere.errors import InvalidGeometryError, ParseError, UnknownFormatError
 
 
 def test_format_detection(tmp_path):
@@ -90,3 +90,17 @@ def test_empty_file_loads_as_empty_cloud(tmp_path):
     p = tmp_path / "e.csv"
     p.write_text("")
     assert load_points(p).shape == (0, 3)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_save_writes_only_n_by_3_clouds(fmt, tmp_path):
+    """A (2, 6) array is not four points, and a (5,) array is not a cloud."""
+    p = tmp_path / f"bad.{fmt}"
+    for bad in (np.arange(12.0).reshape(2, 6), np.arange(5.0)):
+        with pytest.raises(InvalidGeometryError):
+            save_points(p, bad)
+    assert not p.exists()
+    save_points(p, np.empty((0, 3)))
+    assert load_points(p).shape == (0, 3)
+    if fmt != "json":
+        assert p.read_text() == ""

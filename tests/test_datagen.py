@@ -33,28 +33,22 @@ def test_validation_errors():
         generate("uniform-ball", 0)
     with pytest.raises(InvalidParamsError):
         generate("uniform-ball", 10, seed=-1)
-    with pytest.raises(InvalidParamsError):
-        generate("near-degenerate", 10, sigma=-1e-9)
-    with pytest.raises(InvalidParamsError):
-        generate("co-spherical", 10, radius=0.0)
-    with pytest.raises(InvalidParamsError):
-        generate("clustered", 10, clusters=0)
-    with pytest.raises(InvalidParamsError):
-        generate("uniform-ball", 10, wobble=3)  # unknown parameter
+    with pytest.raises(TypeError):
+        generate("uniform-ball", 10, wobble=3)  # no per-kind options
 
 
 def test_uniform_ball_inside_radius():
-    P = generate("uniform-ball", 5000, seed=0, radius=2.0)
+    P = generate("uniform-ball", 5000, seed=0)
     r = np.linalg.norm(P, axis=1)
-    assert r.max() <= 2.0
+    assert r.max() <= 1.0
     assert r.min() >= 0.0
     # actually fills the ball rather than hugging the shell
-    assert (r < 1.0).mean() > 0.05
+    assert (r < 0.5).mean() > 0.05
 
 
 def test_uniform_cube_inside_side():
-    P = generate("uniform-cube", 5000, seed=1, side=3.0)
-    assert P.min() >= 0.0 and P.max() <= 3.0
+    P = generate("uniform-cube", 5000, seed=1)
+    assert P.min() >= 0.0 and P.max() <= 1.0
 
 
 def test_collinear_is_exactly_collinear():
@@ -90,9 +84,9 @@ def test_coplanar_disk_is_exactly_coplanar():
 
 
 def test_coplanar_disk_radius_bound():
-    P = generate("coplanar-disk", 2000, seed=3, radius=1.5)
+    P = generate("coplanar-disk", 2000, seed=3)
     c = P.mean(axis=0)
-    assert np.linalg.norm(P - c, axis=1).max() <= 1.5 * 1.05
+    assert np.linalg.norm(P - c, axis=1).max() <= 1.05
 
 
 def test_co_spherical_exact_shell():
@@ -100,34 +94,28 @@ def test_co_spherical_exact_shell():
     r = np.linalg.norm(P, axis=1)
     assert np.abs(r - 1.0).max() < 5e-16
 
-    Q = generate("co-spherical", 500, seed=2, radius=3.0, center=(1.0, -2.0, 0.5))
-    rq = np.linalg.norm(Q - np.array([1.0, -2.0, 0.5]), axis=1)
-    assert np.abs(rq - 3.0).max() < 2e-15
-    with pytest.raises(InvalidParamsError):
-        generate("co-spherical", 10, center=(1.0, 2.0))
-
 
 def test_near_degenerate_sits_near_a_plane():
-    P = generate("near-degenerate", 500, seed=4, sigma=1e-8)
+    P = generate("near-degenerate", 500, seed=4)
     c = P.mean(axis=0)
     _, s, _ = np.linalg.svd(P - c, full_matrices=False)
     # thinnest direction carries only the jiggle
     assert s[2] / np.sqrt(len(P)) < 5e-8
     assert s[1] / np.sqrt(len(P)) > 1e-3
-
-    flat = generate("near-degenerate", 200, seed=4, sigma=0.0)
-    d = flat - flat[0]
-    assert _exact_triple(d[1], d[2], d[3]) == 0
+    # the jiggle sits on the exactly coplanar disk of the same seed
+    jiggle = np.abs(P - generate("coplanar-disk", 500, seed=4))
+    assert 0.0 < jiggle.max() < 1e-7
 
 
 def test_clustered_parameters():
-    P = generate("clustered", 400, seed=6, clusters=2, spread=0.01)
-    # two tight blobs: distances to nearest of the two means are tiny
+    P = generate("clustered", 400, seed=6)
+    # five blobs of spread 0.05: points sit near the nearest of five means,
+    # where a uniform cloud of the same extent gives a median of about 0.42
     from scipy.cluster.vq import kmeans2
 
-    centroids, label = kmeans2(P, 2, seed=1, minit="++")
+    centroids, label = kmeans2(P, 5, seed=1, minit="++")
     spreadd = np.linalg.norm(P - centroids[label], axis=1)
-    assert np.median(spreadd) < 0.05
+    assert np.median(spreadd) < 0.15
 
 
 def test_collinear_span_is_positive():

@@ -214,6 +214,20 @@ def test_no_public_callable_takes_tol():
     assert taking == []
 
 
+def test_no_public_callable_takes_keyword_bag():
+    """Every exported name resolves, and no public function or class takes
+    ``**kwargs``: each option is a named parameter."""
+    import inspect
+
+    import minisphere
+
+    missing = [name for name in minisphere.__all__ if not hasattr(minisphere, name)]
+    assert missing == []
+    bags = [name for name in minisphere.__all__ if callable(obj := getattr(minisphere, name))
+            and any(p.kind is p.VAR_KEYWORD for p in inspect.signature(obj).parameters.values())]
+    assert bags == []
+
+
 def test_tolerance_for_scale_is_the_axis0_box_diagonal():
     """The column-by-column box gives the axis-0 formula's scale bit for bit."""
     from minisphere.datagen import generate, kinds

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from minisphere.errors import TooLargeError
+from minisphere.errors import EmptyInputError, InvalidGeometryError, TooLargeError
 from minisphere.oracle import brute_force_ses, enclosing_circle_2d, is_hull_vertex
 
 from conftest import cube_corners, max_violation, rel_err
@@ -138,3 +138,19 @@ class TestEnclosingCircle2D:
             assert d.max() <= r * (1 + 1e-12) + 1e-12
             # at least two points must sit on the boundary of a minimal circle
             assert (d >= r - 1e-9).sum() >= 2
+
+    @pytest.mark.parametrize("bad", [np.zeros((4, 3)), np.zeros(4), np.zeros((2, 2, 2))])
+    def test_rejects_arrays_not_shaped_n_by_2(self, bad):
+        with pytest.raises(InvalidGeometryError):
+            enclosing_circle_2d(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coordinates(self, bad):
+        Q = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, bad]])
+        with pytest.raises(InvalidGeometryError):
+            enclosing_circle_2d(Q)
+
+    def test_empty_input(self):
+        for empty in ([], np.zeros((0, 2)), np.zeros((0, 3))):
+            with pytest.raises(EmptyInputError):
+                enclosing_circle_2d(empty)

@@ -9,7 +9,7 @@ from minisphere.datagen import generate, kinds
 from minisphere.errors import InvalidGeometryError, InvalidKError, InvalidParamsError
 from minisphere.geom import as_cloud
 from minisphere.oracle import is_hull_vertex
-from minisphere.projection import KSelection, reduce, solve
+from minisphere.projection import reduce, solve
 from minisphere.welzl import welzl_solve
 
 from conftest import cube_corners, max_violation, noisy_shell, random_rotation, rel_err
@@ -52,7 +52,7 @@ def test_reduce_cube_plus_center_frozen():
     does.
     """
     P = np.vstack([cube_corners(), [[0.5, 0.5, 0.5]]])
-    red = reduce(P, KSelection("general", 6))
+    red = reduce(P, 6)
     assert red.indices.tolist() == [7, 1, 5, 3, 2, 6, 0, 4]
     assert red.picks.tolist() == [
         7, 1, 7, 5, 3, 7, 1, 3, 5, 1, 7, 5,
@@ -72,7 +72,7 @@ def test_reduce_exact_ties_pick_hull_vertices():
     P = np.vstack([mids, faces, corners])
     assert len(P) == 26
     for k in (1, 2, 6, 13, 24):
-        red = reduce(P, KSelection("general", k))
+        red = reduce(P, k)
         bad = [i for i in red.indices.tolist() if not is_hull_vertex(i, P)]
         assert bad == [], (k, bad)
 
@@ -102,7 +102,7 @@ def _reference_picks(P, k):
 
 
 def _fused_picks(P, k):
-    return reduce(P, KSelection("general", k)).picks.tolist()
+    return reduce(P, k).picks.tolist()
 
 
 def _chunk(k):
@@ -143,7 +143,7 @@ def test_reduce_indices_unique_and_budgeted():
     for k in (1, 2, 6, 17):
         for seed in (0, 1):
             P = generate("uniform-ball", 200, seed=seed)
-            red = reduce(P, KSelection("general", k))
+            red = reduce(P, k)
             idx = red.indices
             assert len(set(idx.tolist())) == len(idx)
             assert len(idx) <= 4 * k
@@ -153,7 +153,7 @@ def test_reduce_indices_unique_and_budgeted():
 def test_reduce_keeps_extremes_of_rotated_cloud():
     R = random_rotation(3)
     P = cube_corners() @ R.T
-    red = reduce(P, KSelection("general", 48))
+    red = reduce(P, 48)
     sub, _ = welzl_solve(P[red.indices])
     full, _ = welzl_solve(P)
     assert rel_err(sub.radius, full.radius) < 1e-9
@@ -226,8 +226,8 @@ class TestSolve:
 
     def test_deterministic(self):
         P = generate("clustered", 4000, seed=7)
-        a = solve(P, sel=KSelection("general", 13), seed=11)
-        b = solve(P, sel=KSelection("general", 13), seed=11)
+        a = solve(P, sel=13, seed=11)
+        b = solve(P, sel=13, seed=11)
         assert np.array_equal(a.sphere.center, b.sphere.center)
         assert a.sphere.radius == b.sphere.radius
         assert a.support_indices == b.support_indices
@@ -239,7 +239,7 @@ class TestSolve:
         hit = 0
         for seed in range(12):
             P = generate("uniform-ball", 30, seed=seed)
-            rep = solve(P, sel=KSelection("general", 1), seed=seed)
+            rep = solve(P, sel=1, seed=seed)
             ref, _ = welzl_solve(P, seed=seed)
             assert rel_err(rep.sphere.radius, ref.radius) < 1e-9
             hit += rep.repair_rounds > 0
@@ -249,7 +249,7 @@ class TestSolve:
         for seed in range(10):
             P = generate("co-spherical", 40, seed=seed)
             P = np.vstack([P, P.mean(axis=0)[None, :]])  # strictly interior
-            red = reduce(P, KSelection("general", 24))
+            red = reduce(P, 24)
             assert 40 not in red.indices
 
 
@@ -431,7 +431,7 @@ def test_sample_size_is_clarkson_sized():
             assert 1024 <= size <= 2 * max(1024, 4 * math.sqrt(n)), n
 
 
-@pytest.mark.parametrize("sel", [1, 6, KSelection("general", 24)])
+@pytest.mark.parametrize("sel", [1, 6, 24])
 def test_named_k_reduces_the_whole_cloud(sel, monkeypatch):
     """A named k reduces all rows, at any size: the reduced set is
     ``reduce``'s on the full cloud."""
