@@ -4,13 +4,15 @@ The production path reduces a cloud to its points extreme along a few
 directions (4 per plane of the budget) before running a randomized
 incremental solver, then verifies and repairs the result against the full
 cloud. Desk-scale oracles, seeded data generators, and benchmark harnesses
-live alongside for validation.
+live alongside for validation; their modules (``oracle``, ``datagen``,
+``bench``) load when one of their names is first used, so ``import
+minisphere`` and a CLI solve do not compile them.
 """
 
+import importlib
+
 from . import errors
-from .bench import run_convergence, run_scaling
 from .cloudio import load_points, save_points
-from .datagen import generate, kinds
 from .geom import (
     Sphere,
     Tolerance,
@@ -21,7 +23,6 @@ from .geom import (
     sphere_from_two,
     tolerance_for,
 )
-from .oracle import brute_force_ses, enclosing_circle_2d, is_hull_vertex
 from .projection import ReducedSet, SolveReport, reduce, solve
 from .welzl import SupportSet, welzl_solve
 
@@ -54,3 +55,26 @@ __all__ = [
     "save_points",
     "__version__",
 ]
+
+# public names of the modules a solve does not use, loaded on first use
+_LAZY = {
+    "brute_force_ses": "oracle",
+    "is_hull_vertex": "oracle",
+    "enclosing_circle_2d": "oracle",
+    "generate": "datagen",
+    "kinds": "datagen",
+    "run_scaling": "bench",
+    "run_convergence": "bench",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

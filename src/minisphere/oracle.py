@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyInputError, InvalidGeometryError, TooLargeError
-from .geom import _EPS, Sphere, as_cloud, tolerance_for
+from .geom import _EPS, Sphere, _real_array, as_cloud, tolerance_for
 
 _MAX_BRUTE = 80
 _MAX_HULL = 60
@@ -251,7 +251,7 @@ def enclosing_circle_2d(points2d) -> tuple[np.ndarray, float]:
     """
     from scipy.spatial import ConvexHull, QhullError
 
-    Q = np.asarray(points2d, dtype=np.float64)
+    Q = _real_array(points2d)
     if Q.size == 0:
         raise EmptyInputError("no points")
     if Q.ndim != 2 or Q.shape[1] != 2:

@@ -38,7 +38,6 @@ import functools
 import math
 import operator
 import time
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -68,8 +67,7 @@ class ReducedSet(NamedTuple):
     picks: np.ndarray
 
 
-@dataclass
-class SolveReport:
+class SolveReport(NamedTuple):
     """What ``solve`` found and where its time went.
 
     ``reduced_size`` counts the reduced set: at the automatic k, the

@@ -12,7 +12,7 @@ import minisphere
 from minisphere import welzl
 from minisphere.cli import main
 from minisphere.cloudio import load_points
-from minisphere.datagen import generate
+from minisphere.datagen import generate, kinds
 from minisphere.geom import as_cloud
 from minisphere.projection import solve
 
@@ -145,13 +145,30 @@ def test_parse_error_reports_line(capsys, tmp_path):
 
 
 def test_unknown_kind_exits_2(capsys, tmp_path):
+    """``gen`` and ``bench --kind`` refuse an unknown kind with exit 2 and
+    name the valid ones, and ``gen --help`` lists them, though a ``solve``
+    call never loads ``datagen``."""
     code, _, err = run_cli(capsys, "gen", "uniform-donut", "10", "-o", str(tmp_path / "x.csv"))
     assert code == 2
+    assert all(kind in err for kind in kinds())
+    for study in ("scaling", "convergence"):
+        code, _, err = run_cli(capsys, "bench", study, "--kind", "uniform-donut")
+        assert code == 2
+        assert all(kind in err for kind in kinds())
+    code, out, _ = run_cli(capsys, "gen", "--help")
+    assert code == 0
+    assert all(kind in "".join(out.split()) for kind in kinds())  # help wraps lines, even at a hyphen
 
 
 def test_missing_file_exits_2(capsys):
+    """In process, and through ``python -m minisphere``, whose ``cli.run``
+    passes ``main``'s code to the exit."""
     code, _, _ = run_cli(capsys, "solve", "/nonexistent/cloud.csv")
     assert code == 2
+    proc = subprocess.run([sys.executable, "-m", "minisphere", "solve", "/nonexistent/cloud.csv"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("minisphere: error: ")
 
 
 def test_bench_scaling_single_size_exits_2(capsys):
@@ -240,22 +257,29 @@ def test_subprocess_determinism_modulo_timings(tmp_path):
 _NO_SCIPY = """
 import runpy, sys
 import minisphere
-for lazy in ("scipy", "fractions"):
+LAZY = ("scipy", "fractions", "minisphere.bench", "minisphere.oracle", "minisphere.datagen")
+for lazy in LAZY:
     assert lazy not in sys.modules, "import minisphere loaded " + lazy
 sys.argv = ["minisphere", "solve", sys.argv[1]]
 try:
     runpy.run_module("minisphere", run_name="__main__", alter_sys=True)
 except SystemExit as stop:
     assert not stop.code, stop.code
-for lazy in ("scipy", "fractions"):
+for lazy in LAZY:
     assert lazy not in sys.modules, "minisphere solve loaded " + lazy
+public = {}
+exec("from minisphere import *", public)
+missing = [name for name in minisphere.__all__ if name not in public]
+assert not missing, missing
 """
 
 
 def test_import_and_solve_leave_scipy_unloaded(tmp_cloud_file):
     """Only the oracles use SciPy and only exact pivots use ``fractions``,
     so neither ``import minisphere`` nor ``python -m minisphere solve`` on
-    a 1e4-point file that takes no exact pivot loads them."""
+    a 1e4-point file that takes no exact pivot loads them. Nor do they load
+    ``bench``, ``oracle`` or ``datagen``, whose public names a star import
+    in the same process still resolves."""
     cloud = tmp_cloud_file(generate("uniform-ball", 10_000, seed=0), fmt="xyz")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -268,7 +292,14 @@ def test_import_and_solve_leave_scipy_unloaded(tmp_cloud_file):
 
 
 def test_every_public_name_resolves():
-    """Each name in ``minisphere.__all__`` is an attribute of the package."""
+    """Each name in ``minisphere.__all__`` is an attribute of the package
+    and comes with ``from minisphere import *``; ``dir`` lists them all."""
     missing = [name for name in minisphere.__all__ if not hasattr(minisphere, name)]
     assert not missing
     assert len(set(minisphere.__all__)) == len(minisphere.__all__)
+    public = {}
+    exec("from minisphere import *", public)
+    assert set(minisphere.__all__) <= set(public)
+    assert set(minisphere.__all__) <= set(dir(minisphere))
+    with pytest.raises(AttributeError):
+        minisphere.no_such_name

@@ -144,6 +144,12 @@ class TestEnclosingCircle2D:
         with pytest.raises(InvalidGeometryError):
             enclosing_circle_2d(bad)
 
+    @pytest.mark.parametrize("bad", [[[0, "x"]], [[0.0, 1.0], [2.0]], np.array([[0, 1 + 2j], [1, 0]])],
+                             ids=["string", "ragged", "complex"])
+    def test_rejects_what_is_not_real_numbers(self, bad):
+        with pytest.raises(InvalidGeometryError):
+            enclosing_circle_2d(bad)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_coordinates(self, bad):
         Q = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, bad]])
