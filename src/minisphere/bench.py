@@ -23,7 +23,7 @@ _CONVERGENCE_N = 400
 
 
 def _as_int_list(values, what: str) -> list:
-    out = [int(v) for v in values]
+    out = [datagen._integer(v, what) for v in values]
     if not out:
         raise InsufficientSamplesError(f"need at least one {what}")
     return out
@@ -106,7 +106,7 @@ def run_convergence(n: int, ks, seeds, kind: str = "uniform-ball") -> dict:
     the full solve stands in as a proxy. Means and standard deviations are
     reported per k.
     """
-    n = int(n)
+    n = datagen._integer(n, "point count")
     if n < 1:
         raise InvalidParamsError(f"point count must be at least 1, got {n}")
     if n > _CONVERGENCE_N:

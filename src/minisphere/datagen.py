@@ -12,6 +12,8 @@ exact and cross products of point differences cancel to literal 0.0.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import InvalidParamsError, UnknownKindError
@@ -132,9 +134,19 @@ def generate(kind: str, n: int, seed: int = 0) -> np.ndarray:
         fn = _KINDS[kind]
     except KeyError:
         raise UnknownKindError(f"unknown generator kind {kind!r}; expected one of {', '.join(_KINDS)}") from None
-    n = int(n)
+    n = _integer(n, "n")
     if n < 1:
         raise InvalidParamsError("n must be >= 1")
-    if int(seed) < 0:
+    seed = _integer(seed, "seed")
+    if seed < 0:
         raise InvalidParamsError("seed must be non-negative")
-    return fn(np.random.default_rng(int(seed)), n)
+    return fn(np.random.default_rng(seed), n)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` through ``operator.index``: an int, never a truncated
+    float or a parsed string. InvalidParamsError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParamsError(f"{what} must be an integer, got {value!r}") from None

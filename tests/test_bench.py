@@ -20,6 +20,16 @@ def test_scaling_validation():
         run_scaling([1000, 2000], k_mode="general")  # None asks for the automatic k
 
 
+def test_arguments_that_are_not_integers_are_refused():
+    with pytest.raises(InvalidParamsError):
+        run_scaling([1000.5, 2000])
+    with pytest.raises(InvalidParamsError):
+        run_scaling([1000, 2000], seeds=(0, 1, 2.9))
+    for n, ks, seeds in ((30.5, (6,), (0,)), (30, (1.5, 2.9), (0,)), (30, (6,), (0.5,))):
+        with pytest.raises(InvalidParamsError):
+            run_convergence(n, ks, seeds)
+
+
 def test_scaling_report_structure():
     rep = run_scaling([1000, 2000], seeds=(0, 1, 2), k_mode=8)
     assert rep["report_version"] == 1

@@ -37,6 +37,16 @@ def test_validation_errors():
         generate("uniform-ball", 10, wobble=3)  # no per-kind options
 
 
+@pytest.mark.parametrize("n, seed", [(2.7, 0), (5, 1.9), ("5", 0), (5, "1")])
+def test_arguments_that_are_not_integers_are_refused(n, seed):
+    with pytest.raises(InvalidParamsError):
+        generate("uniform-ball", n, seed=seed)
+
+
+def test_numpy_integers_are_accepted():
+    assert np.array_equal(generate("uniform-ball", np.int64(5), seed=np.int32(1)), generate("uniform-ball", 5, seed=1))
+
+
 def test_uniform_ball_inside_radius():
     P = generate("uniform-ball", 5000, seed=0)
     r = np.linalg.norm(P, axis=1)

@@ -5,6 +5,7 @@ against ``brute_force_ses`` leans on the hand-computed cases here.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,11 @@ class TestHullVertex:
         with pytest.raises(TooLargeError):
             is_hull_vertex(0, np.zeros((61, 3)))
 
+    def test_index_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            is_hull_vertex(1.7, cube_corners())  # not row 1
+        assert is_hull_vertex(np.int64(1), cube_corners())
+
 
 class TestEnclosingCircle2D:
     def test_square(self):
@@ -160,3 +166,41 @@ class TestEnclosingCircle2D:
         for empty in ([], np.zeros((0, 2)), np.zeros((0, 3))):
             with pytest.raises(EmptyInputError):
                 enclosing_circle_2d(empty)
+
+    # 4 collinear points run with warnings as errors: no divide-by-zero on
+    # their degenerate triples. 500 collinear points or copies of one point
+    # have a hull of at most 2 vertices, whatever Qhull makes of them.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("Q, center, radius", [
+        (np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [2.0, 2.0]]), [1.5, 1.5], 1.5 * math.sqrt(2.0)),
+        (np.array([1.0, 2.0]) + np.random.default_rng(0).permutation(500)[:, None] * np.array([3.0, -4.0]),
+         [1.0 + 249.5 * 3.0, 2.0 - 249.5 * 4.0], 1247.5),
+        (np.tile([3.0, -7.0], (500, 1)), [3.0, -7.0], 0.0),
+    ], ids=["4-collinear", "500-collinear", "500-coincident"])
+    def test_flat_input(self, Q, center, radius):
+        c, r = enclosing_circle_2d(Q)
+        assert np.allclose(c, center, rtol=1e-14, atol=0.0)
+        assert abs(r - radius) <= 1e-12 * radius
+
+    def test_agrees_with_the_sphere_oracle_in_the_plane(self):
+        """Both oracles run one enumeration: a 2D set and the same set lifted
+        to z = 0 give the same radius."""
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 81))
+            Q = rng.normal(size=(n, 2)) if seed % 2 else rng.integers(-4, 5, (n, 2)).astype(float)
+            _, r = enclosing_circle_2d(Q)
+            s = brute_force_ses(np.column_stack((Q, np.zeros(n))))
+            assert abs(r - s.radius) <= 1e-12 * s.radius
+
+    def test_peak_memory_on_100_hull_vertices(self):
+        t = 2.0 * math.pi * np.arange(100) / 100
+        ring = np.column_stack((np.cos(t), np.sin(t)))
+        Q = np.vstack([ring, np.random.default_rng(1).uniform(-0.5, 0.5, (1000, 2))])
+        tracemalloc.start()
+        try:
+            enclosing_circle_2d(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6, f"peak {peak / 1e6:.0f} MB"
